@@ -47,29 +47,28 @@ bench-fleet:
 	./scripts/bench.sh fleet
 
 # bench-scale refreshes BENCH_scale.json: the streamed million-request day
-# trace replayed on the reference, 1-worker, and full-width simulation
-# cores, hard-failing unless all three reports are byte-identical. Scale up
-# with e.g. `make bench-scale SCALE_REQUESTS=10000000`.
+# trace replayed SCALE_REPEAT times, hard-failing unless every repeat's
+# report is byte-identical. Scale up with e.g.
+# `make bench-scale SCALE_REQUESTS=10000000`.
 bench-scale:
-	SCALE_REQUESTS=$(SCALE_REQUESTS) SCALE_WORKERS=$(SCALE_WORKERS) \
-		SCALE_REPEAT=$(SCALE_REPEAT) ./scripts/bench.sh scale
+	SCALE_REQUESTS=$(SCALE_REQUESTS) SCALE_REPEAT=$(SCALE_REPEAT) \
+		./scripts/bench.sh scale
 
 # chaos sweeps the fault-injection suite under the race detector: randomized
 # crash/retry conservation across CHAOS_SEEDS seeds (default 5), the KV-link
 # backoff/busy-monotonicity properties, the 4-seed faults-disabled
-# bit-identical equivalence pin, the parallel-core fault-storm sweep
-# (batched core vs sequential reference, decision-for-decision, per seed),
-# the 4-seed prefix-caching-disabled equivalence pin, exactly-once
-# conservation through the full KV reuse hierarchy (cache hits, eviction,
-# offload, crash-induced cache drops) under a crash storm, the chunked-
-# prefill pins (chunking-disabled bit-identity, chunked parallel-core
-# equivalence, greedy-vs-degenerate-SLO policy equivalence), and exactly-once
-# conservation through chunked prefill × prefix-cache hits × crash storms.
+# bit-identical equivalence pin, the 4-seed prefix-caching-disabled
+# equivalence pin, exactly-once conservation through the full KV reuse
+# hierarchy (cache hits, eviction, offload, crash-induced cache drops) under
+# a crash storm, the chunked-prefill pins (chunking-disabled bit-identity,
+# greedy-vs-degenerate-SLO policy equivalence), and exactly-once
+# conservation through chunked prefill × prefix-cache hits × crash storms,
+# and replay determinism of the fault-storm scenario.
 # Widen with e.g. `make chaos CHAOS_SEEDS=50`.
 CHAOS_SEEDS ?= 5
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
-		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestParallelFaultStormChaos|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedParallelEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence' \
+		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence|TestFaultStormReplayChaos' \
 		./internal/cluster/ ./internal/kv/ ./internal/engine/
 
 ci: build vet fmt-check staticcheck test chaos

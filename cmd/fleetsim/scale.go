@@ -2,13 +2,10 @@ package main
 
 // The -scale mode: long-trace replay throughput. A compressed "day" of
 // traffic — diurnal rate curve, drifting workload mixture — streams through
-// a large monolithic Past-Future fleet three times on identical regenerated
-// arrival streams: the sequential reference core (workers=0), the batched
-// core with one worker (the coordination-overhead baseline), and the
-// batched core at the requested width. The run hard-fails unless all three
-// reports are byte-identical — the speedup numbers are only meaningful
-// because the answers are exactly the same — and reports wall-clock,
-// events/sec, and speedups, optionally as BENCH_scale.json via -json.
+// a large monolithic Past-Future fleet, -scale-repeat times on identical
+// regenerated arrival streams. The run hard-fails unless every repeat's
+// report is byte-identical (the determinism certificate) and reports
+// wall-clock and events/sec, optionally as BENCH_scale.json via -json.
 
 import (
 	"encoding/json"
@@ -34,23 +31,9 @@ type scaleOptions struct {
 	replicas int     // fleet width
 	capacity int     // per-replica KV capacity override, tokens
 	peak     float64 // diurnal peak arrival rate, req/s
-	workers  int     // batched-core width for the widest run
-	repeat   int     // timing repeats per core; wall-clock is the min
+	repeat   int     // timing repeats; wall-clock is the min
 	seed     uint64
 	maxNew   int // output cap: keeps OSL ≈ 150, the day-trace calibration
-}
-
-// scaleRun is one core's measured replay.
-type scaleRun struct {
-	Workers      int     `json:"workers"`
-	WallSeconds  float64 `json:"wall_s"`
-	Events       int64   `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	// MeanBatchWidth is steps per formed batch (0 on the reference core);
-	// it bounds how many workers the replay can actually use.
-	MeanBatchWidth float64 `json:"mean_batch_width,omitempty"`
-	// SpeedupVsRef is reference wall-clock over this run's wall-clock.
-	SpeedupVsRef float64 `json:"speedup_vs_ref"`
 }
 
 // scaleResult is the BENCH_scale.json payload.
@@ -61,20 +44,19 @@ type scaleResult struct {
 	PeakRate float64 `json:"peak_rate_req_s"`
 	Seed     uint64  `json:"seed"`
 	Repeat   int     `json:"timing_repeats"`
-	// NumCPU bounds any honest speedup claim: on a single-core host the
-	// widest run can only tie the 1-worker baseline, whatever the code does.
-	NumCPU       int     `json:"num_cpu"`
-	GoMaxProcs   int     `json:"gomaxprocs"`
-	SimSeconds   float64 `json:"sim_duration_s"`
-	Finished     int     `json:"finished"`
-	MeanTTFT     float64 `json:"mean_ttft_s"`
+	// NumCPU and GoMaxProcs record the host shape: wall-clock numbers
+	// compare only across runs on the same shape.
+	NumCPU     int     `json:"num_cpu"`
+	GoMaxProcs int     `json:"gomaxprocs"`
+	SimSeconds float64 `json:"sim_duration_s"`
+	Finished   int     `json:"finished"`
+	MeanTTFT   float64 `json:"mean_ttft_s"`
+	// ReportsMatch certifies determinism: every repeat's report was
+	// byte-identical to the first.
 	ReportsMatch bool    `json:"reports_match"`
-	// SpeedupVs1 is the headline: widest run vs the 1-worker batched core.
-	SpeedupVs1 float64 `json:"speedup_vs_1worker"`
-	// Par1OverheadVsRef is (wall_1 - wall_ref)/wall_ref: the price of the
-	// batching machinery itself, which must stay small.
-	Par1OverheadVsRef float64    `json:"par1_overhead_vs_ref"`
-	Runs              []scaleRun `json:"runs"`
+	WallSeconds  float64 `json:"wall_s"` // min over the repeats
+	Events       int64   `json:"events"`
+	EventsPerSec float64 `json:"events_per_sec"`
 }
 
 // dayStream regenerates the -scale arrival stream: a diurnal rate curve
@@ -115,10 +97,10 @@ func dayStream(opts scaleOptions) *workload.Stream {
 	})
 }
 
-// buildScaleFleet assembles the replay fleet on the chosen core: mixed-role
-// Past-Future replicas, per-replica scheduler RNG streams, no autoscaler —
-// a fixed fleet keeps all three runs' work identical by construction.
-func buildScaleFleet(opts scaleOptions, workers int) *cluster.Fleet {
+// buildScaleFleet assembles the replay fleet: mixed-role Past-Future
+// replicas, per-replica scheduler RNG streams, no autoscaler — a fixed
+// fleet keeps every repeat's work identical by construction.
+func buildScaleFleet(opts scaleOptions) *cluster.Fleet {
 	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
 	engines := make([]*engine.Engine, opts.replicas)
 	for i := range engines {
@@ -133,7 +115,6 @@ func buildScaleFleet(opts scaleOptions, workers int) *cluster.Fleet {
 	f, err := cluster.New(cluster.Config{
 		Replicas: engines,
 		Policy:   cluster.FutureHeadroom,
-		Workers:  workers,
 	})
 	if err != nil {
 		fatal(err)
@@ -141,17 +122,12 @@ func buildScaleFleet(opts scaleOptions, workers int) *cluster.Fleet {
 	return f
 }
 
-// runScale executes the replay sweep and returns the measurements. Each
-// core's replay repeats opts.repeat times on freshly regenerated identical
-// streams; the reported wall-clock is the minimum — the least-noise
-// estimator on a shared host — while the report equality check covers
-// every repeat.
+// runScale executes the replay opts.repeat times on freshly regenerated
+// identical streams and returns the measurements. The reported wall-clock
+// is the minimum — the least-noise estimator on a shared host — while the
+// report equality check covers every repeat.
 func runScale(opts scaleOptions) scaleResult {
 	sla := metrics.SLA{TTFT: 8, MTPOT: 1.5}
-	sweep := []int{0, 1}
-	if opts.workers > 1 {
-		sweep = append(sweep, opts.workers)
-	}
 	if opts.repeat < 1 {
 		opts.repeat = 1
 	}
@@ -162,66 +138,38 @@ func runScale(opts scaleOptions) scaleResult {
 		Repeat: opts.repeat, NumCPU: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
 		ReportsMatch: true,
 	}
-	var refReport string
-	var refWall float64
-	for _, w := range sweep {
-		var run scaleRun
-		for rep := 0; rep < opts.repeat; rep++ {
-			f := buildScaleFleet(opts, w)
-			stream := dayStream(opts)
-			start := time.Now()
-			results := f.ServeStream(stream.Next, 1e9)
-			wall := time.Since(start).Seconds()
-			report := f.Report(results, sla)
-			repStr := fmt.Sprintf("%+v", report)
+	var firstReport string
+	for rep := 0; rep < opts.repeat; rep++ {
+		f := buildScaleFleet(opts)
+		stream := dayStream(opts)
+		start := time.Now()
+		results := f.ServeStream(stream.Next, 1e9)
+		wall := time.Since(start).Seconds()
+		report := f.Report(results, sla)
+		repStr := fmt.Sprintf("%+v", report)
 
-			if rep == 0 || wall < run.WallSeconds {
-				run = scaleRun{Workers: w, WallSeconds: wall, Events: f.EventsProcessed()}
-				_, run.MeanBatchWidth = f.BatchStats()
-			}
-			if w == 0 && rep == 0 {
-				refReport = repStr
-				res.SimSeconds = report.Duration
-				res.Finished = report.Finished
-				res.MeanTTFT = report.Summary.MeanTTFT
-			} else if repStr != refReport {
-				res.ReportsMatch = false
-			}
+		if rep == 0 || wall < res.WallSeconds {
+			res.WallSeconds, res.Events = wall, f.EventsProcessed()
 		}
-		wall := run.WallSeconds
-		if wall > 0 {
-			run.EventsPerSec = float64(run.Events) / wall
+		if rep == 0 {
+			firstReport = repStr
+			res.SimSeconds = report.Duration
+			res.Finished = report.Finished
+			res.MeanTTFT = report.Summary.MeanTTFT
+		} else if repStr != firstReport {
+			res.ReportsMatch = false
 		}
-		if w == 0 {
-			refWall = wall
-		}
-		if refWall > 0 {
-			run.SpeedupVsRef = refWall / wall
-		}
-		res.Runs = append(res.Runs, run)
-		fmt.Printf("workers=%-2d  wall %8.2fs  %12d events  %11.0f ev/s  speedup vs ref %5.2fx  batch width %5.1f\n",
-			w, wall, run.Events, run.EventsPerSec, run.SpeedupVsRef, run.MeanBatchWidth)
+		fmt.Printf("repeat %d  wall %8.2fs  %12d events  %11.0f ev/s\n",
+			rep+1, wall, f.EventsProcessed(), float64(f.EventsProcessed())/wall)
 	}
-	widest := res.Runs[len(res.Runs)-1]
-	for _, r := range res.Runs {
-		if r.Workers == 1 && r.WallSeconds > 0 && widest.WallSeconds > 0 {
-			res.SpeedupVs1 = r.WallSeconds / widest.WallSeconds
-			if refWall > 0 {
-				res.Par1OverheadVsRef = (r.WallSeconds - refWall) / refWall
-			}
-		}
+	if res.WallSeconds > 0 {
+		res.EventsPerSec = float64(res.Events) / res.WallSeconds
 	}
 	if !res.ReportsMatch {
-		fatal(fmt.Errorf("scale replay: parallel report diverges from the reference — the cores are NOT equivalent"))
+		fatal(fmt.Errorf("scale replay: a repeat's report diverges from the first — the replay is NOT deterministic"))
 	}
-	fmt.Printf("day trace: %d requests over %.0fs simulated (%d finished, mean TTFT %.2fs), reports identical across cores\n",
-		res.Requests, res.SimSeconds, res.Finished, res.MeanTTFT)
-	fmt.Printf("speedup at %d workers vs 1 worker: %.2fx; 1-worker overhead vs reference: %+.1f%%\n",
-		opts.workers, res.SpeedupVs1, res.Par1OverheadVsRef*100)
-	if res.GoMaxProcs < opts.workers {
-		fmt.Printf("note: GOMAXPROCS=%d < %d workers — this host cannot run the batches in parallel, so the widest run can at best tie the 1-worker baseline; re-run on a host with ≥%d cores for a speedup measurement\n",
-			res.GoMaxProcs, opts.workers, opts.workers)
-	}
+	fmt.Printf("day trace: %d requests over %.0fs simulated (%d finished, mean TTFT %.2fs), reports identical across %d repeats\n",
+		res.Requests, res.SimSeconds, res.Finished, res.MeanTTFT, opts.repeat)
 	return res
 }
 

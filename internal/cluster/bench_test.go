@@ -16,7 +16,7 @@ func benchFleet(b *testing.B, nReplicas int, naive bool) (*Fleet, *request.Reque
 	f := MustNew(Config{
 		Replicas:   replicas(nReplicas, 20_000),
 		Policy:     FutureHeadroom,
-		NaiveProbe: naive,
+		naiveProbe: naive,
 	})
 	// 60 requests/replica at 10 req/s/replica arrive over ~6 s; stopping the
 	// serve at 3 s leaves every replica with a populated batch and queue.

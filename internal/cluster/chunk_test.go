@@ -49,7 +49,7 @@ func chunkedPrefillReplicas(n, capacity int, chunk engine.ChunkConfig) []*engine
 // traffic with the given chunking configuration on the prefill pool. The
 // zero-value ChunkConfig arm is the pre-chunking reference shape: same
 // pools, same admission, same per-iteration prefill budget.
-func runChunkPin(seed uint64, chunk engine.ChunkConfig, flt *FaultConfig, workers int, rec ...obs.Recorder) decisionTrace {
+func runChunkPin(seed uint64, chunk engine.ChunkConfig, flt *FaultConfig, rec ...obs.Recorder) decisionTrace {
 	var tr decisionTrace
 	var recorder obs.Recorder
 	if len(rec) > 0 {
@@ -77,7 +77,6 @@ func runChunkPin(seed uint64, chunk engine.ChunkConfig, flt *FaultConfig, worker
 		Link:      kv.MustNewLink(50e9, 0.002),
 		Admission: &AdmissionConfig{TTFTBudget: sla.TTFT, Shed: true, Slack: 0.5},
 		Faults:    flt,
-		Workers:   workers,
 		Recorder:  recorder,
 	})
 	results := c.Serve(longctxReqs(220, 30, seed), 1e9)
@@ -101,47 +100,24 @@ func chunkStorm(seed uint64) *FaultConfig {
 }
 
 // TestChunkingDisabledEquivalence is the zero-value pin: with chunking
-// disabled, every decision — routing, sheds, handoffs, the report — must be
-// bit-identical across both simulation cores and through the fault storm.
-// The disabled configuration is exactly the pre-chunking engine shape, so
-// any divergence means the chunking plumbing leaked into the default path.
+// disabled, a ChunkConfig whose sizing knobs are all set must make every
+// decision — routing, sheds, handoffs, the report — bit-identically to the
+// zero value, with and without the fault storm. The disabled configuration
+// is exactly the pre-chunking engine shape, so any divergence means the
+// chunking plumbing leaked into the default path.
 func TestChunkingDisabledEquivalence(t *testing.T) {
+	knobs := engine.ChunkConfig{
+		Policy: engine.ChunkSLOAware, ChunkTokens: 256,
+		MinChunkTokens: 64, MaxChunkTokens: 1024, SlackShare: 0.5,
+	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ref := runChunkPin(seed, engine.ChunkConfig{}, nil, 0)
-			refStorm := runChunkPin(seed, engine.ChunkConfig{}, chunkStorm(seed), 0)
-			cases := []struct {
-				label string
-				got   decisionTrace
-				want  decisionTrace
-			}{
-				{"workers=4", runChunkPin(seed, engine.ChunkConfig{}, nil, 4), ref},
-				{"storm workers=4", runChunkPin(seed, engine.ChunkConfig{}, chunkStorm(seed), 4), refStorm},
-			}
-			for _, tc := range cases {
-				compareTraces(t, tc.label, tc.got, tc.want)
-			}
-		})
-	}
-}
-
-// TestChunkedParallelEquivalence pins determinism of the chunked path
-// itself: with SLO-aware chunked prefill enabled on the prefill pool, the
-// parallel core and the sequential core must make identical decisions, with
-// and without the fault storm — chunk-granular footprints, mid-chunk
-// crashes, and post-last-chunk handoffs included.
-func TestChunkedParallelEquivalence(t *testing.T) {
-	chunk := engine.ChunkConfig{Enabled: true, Policy: engine.ChunkSLOAware, ChunkTokens: 512}
-	for seed := uint64(1); seed <= 2; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			compareTraces(t, "workers=4",
-				runChunkPin(seed, chunk, nil, 4),
-				runChunkPin(seed, chunk, nil, 0))
-			compareTraces(t, "storm workers=4",
-				runChunkPin(seed, chunk, chunkStorm(seed), 4),
-				runChunkPin(seed, chunk, chunkStorm(seed), 0))
+			compareTraces(t, "disabled knobs",
+				runChunkPin(seed, knobs, nil), runChunkPin(seed, engine.ChunkConfig{}, nil))
+			compareTraces(t, "storm disabled knobs",
+				runChunkPin(seed, knobs, chunkStorm(seed)),
+				runChunkPin(seed, engine.ChunkConfig{}, chunkStorm(seed)))
 		})
 	}
 }
@@ -244,7 +220,7 @@ func TestChunkedConservation(t *testing.T) {
 func TestChunkedObservability(t *testing.T) {
 	col := obs.NewCollector(1)
 	chunk := engine.ChunkConfig{Enabled: true, Policy: engine.ChunkSLOAware, ChunkTokens: 512}
-	runChunkPin(3, chunk, nil, 0, col)
+	runChunkPin(3, chunk, nil, col)
 
 	if err := col.CheckDecomposition(1e-6); err != nil {
 		t.Fatalf("chunked spans broke the TTFT decomposition: %v", err)
@@ -284,7 +260,7 @@ func TestChunkedObservability(t *testing.T) {
 
 	// The disabled arm records nothing chunk-shaped anywhere.
 	off := obs.NewCollector(1)
-	runChunkPin(3, engine.ChunkConfig{}, nil, 0, off)
+	runChunkPin(3, engine.ChunkConfig{}, nil, off)
 	for _, s := range off.Spans() {
 		if s.Chunks != 0 {
 			t.Fatalf("request %d recorded %d chunks with chunking disabled", s.R.ID, s.Chunks)

@@ -105,18 +105,6 @@ type ClusterConfig struct {
 	// events — so recorded runs make bit-identical decisions to unrecorded
 	// ones. nil disables every emission site at zero cost.
 	Recorder obs.Recorder
-	// Workers selects the simulation core. 0 (the default) is the
-	// single-threaded reference event loop, unchanged. Any positive value
-	// switches to the conservatively batched core (parallel.go): engine
-	// steps that provably cannot influence one another run as a batch —
-	// concurrently on Workers goroutines when Workers ≥ 2, inline when
-	// Workers == 1 (same machinery, no goroutines: the coordination-overhead
-	// baseline) — with their cluster-visible effects replayed in event-pop
-	// order. Results are bit-identical to the reference for every Workers
-	// value. Requires each replica to own its engine and scheduler outright
-	// (validated), and every hook to be installed before NewCluster (hooks
-	// added later would fire on worker goroutines).
-	Workers int
 }
 
 // Cluster composes role-aware pools behind one event min-heap — the single
@@ -156,13 +144,7 @@ type Cluster struct {
 	startAt float64
 	endAt   float64
 
-	// Parallel-core state (parallel.go). workers == 0 on the reference path.
-	workers      int
-	runner       *stepRunner
-	batch        []stepEntry
-	popped       int64 // events handled, the bench's events/sec numerator
-	batches      int64 // step batches formed (parallel core only)
-	batchedSteps int64 // steps executed through batches
+	popped int64 // events handled, the bench's events/sec numerator
 }
 
 // NewCluster validates the configuration and builds a cluster.
@@ -184,18 +166,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	default:
 		return nil, fmt.Errorf("cluster: %d pools; want one mixed or prefill+decode", len(cfg.Pools))
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("cluster: negative worker count %d", cfg.Workers)
-	}
 	for i, pc := range cfg.Pools {
 		if pc.Admission != nil {
 			return nil, fmt.Errorf("cluster: pool %d carries an AdmissionConfig; admission is cluster-wide, set ClusterConfig.Admission", i)
 		}
 		if pc.Recorder != nil {
 			return nil, fmt.Errorf("cluster: pool %d carries a Recorder; observability is cluster-wide, set ClusterConfig.Recorder", i)
-		}
-		if pc.Workers != 0 {
-			return nil, fmt.Errorf("cluster: pool %d carries a worker count; the simulation core is cluster-wide, set ClusterConfig.Workers", i)
 		}
 		p, err := newPool(c, i, pc)
 		if err != nil {
@@ -251,20 +227,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// Handoffs book per-destination lanes keyed by decode replica index:
 		// size the lane table once so a day-long replay never grows it.
 		c.link.PreallocateLanes(len(c.pools[c.decode].reps))
-	}
-	if cfg.Workers > 0 {
-		// Arm the batched core last: DeferEffects wraps whatever hooks exist
-		// at this point (pool planner observers, admission slack, handoffs,
-		// recorder emission), so every install above must already be done.
-		if err := c.validateParallel(); err != nil {
-			return nil, err
-		}
-		c.workers = cfg.Workers
-		for _, p := range c.pools {
-			for _, rep := range p.reps {
-				rep.buf = rep.eng.DeferEffects()
-			}
-		}
 	}
 	return c, nil
 }
@@ -379,13 +341,8 @@ func (c *Cluster) Serve(reqs []*request.Request, deadline float64) []*engine.Res
 // ServeStream is Serve over a pull-based arrival source: next returns the
 // requests in nondecreasing ArrivalTime order and nil at end of stream, so
 // a million-request replay never materializes its slice. On a sorted slice
-// it is decision-identical to Serve (which now wraps it). With Workers > 0
-// arrivals route through the event heap (serveEvented); the reference path
-// is the same per-arrival loop Serve has always run.
+// it is decision-identical to Serve (which wraps it).
 func (c *Cluster) ServeStream(next func() *request.Request, deadline float64) []*engine.Result {
-	if c.workers > 0 {
-		return c.serveEvented(next, deadline)
-	}
 	req := next()
 	startAt := 0.0
 	if req != nil {
@@ -405,51 +362,9 @@ func (c *Cluster) ServeStream(next func() *request.Request, deadline float64) []
 	return c.results()
 }
 
-// arrivalBlock bounds how many pending arrivals the evented path keeps in
-// the heap at once, so streaming a 10M-request day holds O(block) arrival
-// state instead of O(N).
-const arrivalBlock = 4096
-
-// serveEvented is the Workers > 0 serve loop: arrivals become evArrive heap
-// events (in blocks, pulled lazily from the stream), so each advanceTo spans
-// thousands of events and the batched core can form wide step batches. The
-// heap's (time, kind, seq) order reproduces the reference loop exactly:
-// evArrive sorts after same-instant activations and before every other
-// same-instant kind — precisely where the sequential loop processes an
-// arrival — and stale step events pushed by routing sort before later
-// arrivals just as the reference's next advanceTo would pop them.
-func (c *Cluster) serveEvented(next func() *request.Request, deadline float64) []*engine.Result {
-	if c.workers > 1 && c.runner == nil {
-		c.runner = newStepRunner(c.workers)
-		defer func() {
-			c.runner.stop()
-			c.runner = nil
-		}()
-	}
-	req := next()
-	startAt := 0.0
-	if req != nil {
-		startAt = req.ArrivalTime
-	}
-	c.start(startAt)
-	for req != nil && req.ArrivalTime <= deadline {
-		for n := 0; n < arrivalBlock && req != nil && req.ArrivalTime <= deadline; n++ {
-			c.pushEvent(event{at: req.ArrivalTime, kind: evArrive, req: req})
-			req = next()
-		}
-		if req != nil && req.ArrivalTime <= deadline {
-			c.advanceTo(req.ArrivalTime)
-		}
-	}
-	c.advanceTo(deadline)
-	c.finish(deadline)
-	return c.results()
-}
-
 // handleArrival runs the per-arrival pipeline at time t: planner load
 // observation, tick arming, reactive scaling, then admission or immediate
-// routing. Shared verbatim by the sequential loop and the evArrive handler
-// so both cores make identical decisions.
+// routing.
 func (c *Cluster) handleArrival(t float64, req *request.Request) {
 	entry := c.pools[c.entry]
 	if entry.plan != nil {
@@ -468,7 +383,6 @@ func (c *Cluster) handleArrival(t float64, req *request.Request) {
 		c.adm.arrive(t, req)
 		return
 	}
-	c.refreshProbes(entry, req)
 	rep := entry.route(req)
 	rep.eng.Submit(req)
 	if c.rec != nil {
@@ -493,20 +407,9 @@ func (c *Cluster) results() []*engine.Result {
 }
 
 // EventsProcessed returns how many simulation events the cluster has
-// handled — heap pops plus evented arrivals — the throughput numerator the
-// scale benchmark reports as events/sec.
+// handled — heap pops — the throughput numerator the scale benchmark
+// reports as events/sec.
 func (c *Cluster) EventsProcessed() int64 { return c.popped }
-
-// BatchStats reports the parallel core's batch formation quality: how many
-// step batches ran and the mean steps per batch (0, 0 on the reference
-// core). Mean width bounds the achievable speedup — a width of w can use at
-// most w workers.
-func (c *Cluster) BatchStats() (batches int64, meanWidth float64) {
-	if c.batches == 0 {
-		return 0, 0
-	}
-	return c.batches, float64(c.batchedSteps) / float64(c.batches)
-}
 
 // start arms the event loop: replica-seconds clocks for the initially
 // active replicas and step events for engines pre-loaded before Serve.
@@ -560,16 +463,9 @@ func (c *Cluster) finish(deadline float64) {
 }
 
 // advanceTo pops and handles every event due strictly before t, plus
-// activations and evented arrivals at exactly t (a replica whose delay
-// elapses at t must be eligible for an arrival at t, matching the scan
-// router's t ≥ wakeAt; an evArrive at t is the arrival the sequential loop
-// would process after its own advanceTo(t) — the reference never pushes
-// evArrive, so admitting the kind here changes nothing for it).
+// activations at exactly t (a replica whose delay elapses at t must be
+// eligible for an arrival at t, matching the scan router's t ≥ wakeAt).
 func (c *Cluster) advanceTo(t float64) {
-	if c.workers > 0 {
-		c.advanceBatched(t)
-		return
-	}
 	for c.events.Len() > 0 {
 		top := c.events.top()
 		if top.at > t || (top.at == t && top.kind != evActivate) {
@@ -606,8 +502,6 @@ func (c *Cluster) handle(ev event) {
 		if c.adm != nil && rep.eng.ReleasedLastStep() {
 			c.scheduleRetry(rep.eng.Clock())
 		}
-	case evArrive:
-		c.handleArrival(ev.at, ev.req)
 	case evActivate:
 		rep := p.reps[ev.rep]
 		// Stale activations (the replica was scaled back in, re-armed with a

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/lightllm-go/lightllm/internal/core"
@@ -75,6 +76,65 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
+// TestPoolRejectsNaN: a NaN quantile or affinity weight fails every ordered
+// comparison, so a range check written as `x < lo || x > hi` lets it
+// through and poisons every probe score. New must refuse each bad value.
+func TestPoolRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name             string
+		quantile, affine float64
+	}{
+		{"quantile NaN", nan, 0},
+		{"quantile negative", -0.1, 0},
+		{"quantile above 1", 1.5, 0},
+		{"affinity NaN", 0.9, nan},
+		{"affinity negative", 0.9, -0.5},
+	} {
+		_, err := New(Config{
+			Replicas: replicas(2, 1000), Policy: FutureHeadroom,
+			Quantile: tc.quantile, AffinityWeight: tc.affine,
+		})
+		if err == nil {
+			t.Errorf("%s: New accepted quantile=%v affinity=%v", tc.name, tc.quantile, tc.affine)
+		}
+	}
+	if _, err := New(Config{Replicas: replicas(2, 1000), Quantile: 1, AffinityWeight: 0.5}); err != nil {
+		t.Fatalf("in-range quantile and affinity rejected: %v", err)
+	}
+}
+
+// TestServeStreamMatchesServe: the pull-based arrival source — the
+// streaming entry point long-trace replay uses — produces the same results
+// as the materialized slice.
+func TestServeStreamMatchesServe(t *testing.T) {
+	run := func(stream bool) string {
+		f := MustNew(Config{Replicas: replicas(2, 8_000), Policy: FutureHeadroom})
+		reqs := poissonReqs(200, 60, 7)
+		var results []*engine.Result
+		if stream {
+			i := 0
+			results = f.ServeStream(func() *request.Request {
+				if i >= len(reqs) {
+					return nil
+				}
+				r := reqs[i]
+				i++
+				return r
+			}, 1e9)
+		} else {
+			results = f.Serve(reqs, 1e9)
+		}
+		if f.EventsProcessed() == 0 {
+			t.Fatal("no events counted")
+		}
+		return fmt.Sprintf("%+v", f.Report(results, metrics.SLA{TTFT: 6, MTPOT: 1.5}))
+	}
+	if got, ref := run(true), run(false); got != ref {
+		t.Fatalf("stream report diverges:\ngot: %s\nref: %s", got, ref)
+	}
+}
+
 // TestWarmProbeMatchesNaive pins the tentpole's equivalence claim: the warm
 // per-replica PeakEstimator probe path (incremental PeakWith, zero
 // allocations) must reproduce, decision for decision, the routing of the
@@ -89,7 +149,7 @@ func TestWarmProbeMatchesNaive(t *testing.T) {
 				f := MustNew(Config{
 					Replicas:   replicas(3, 12_000),
 					Policy:     FutureHeadroom,
-					NaiveProbe: naive,
+					naiveProbe: naive,
 					OnRoute:    func(_ *request.Request, rep int) { picks = append(picks, rep) },
 				})
 				f.Serve(poissonReqs(250, 25, seed), 1e9)

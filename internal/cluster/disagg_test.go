@@ -94,7 +94,7 @@ func TestClusterTopologyValidation(t *testing.T) {
 // claim: the Fleet API (now a one-pool RoleMixed cluster) and an explicit
 // NewCluster with the same single pool must reproduce PR 2's routing
 // decisions bit-identically on randomized workloads — including against
-// the NaiveProbe reference path.
+// the naiveProbe reference path.
 func TestMonolithicClusterMatchesFleet(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		seed := seed
@@ -104,7 +104,7 @@ func TestMonolithicClusterMatchesFleet(t *testing.T) {
 				cfg := Config{
 					Replicas:   replicas(3, 12_000),
 					Policy:     FutureHeadroom,
-					NaiveProbe: naive,
+					naiveProbe: naive,
 					OnRoute:    func(_ *request.Request, rep int) { picks = append(picks, rep) },
 				}
 				build(cfg)(poissonReqs(250, 25, seed), 1e9)

@@ -43,23 +43,15 @@ import "github.com/lightllm-go/lightllm/internal/request"
 // Serve's steady state must not.
 
 // evKind orders simultaneous events: activations first (so a replica waking
-// exactly at an arrival's timestamp can receive it), then external arrivals
-// (parallel mode routes them through the heap; the kind sits directly after
-// evActivate so a same-instant arrival still sees the woken replica but
-// runs before any same-instant booking, delivery, or step — exactly where
-// the sequential Serve loop processes it), then handoff bookings (the wire
-// must be priced before later work observes it), then KV deliveries (a
-// landed handoff is routable work), then autoscaler evaluations, then
-// engine steps.
+// exactly at an arrival's timestamp can receive it), then handoff bookings
+// (the wire must be priced before later work observes it), then KV
+// deliveries (a landed handoff is routable work), then autoscaler
+// evaluations, then engine steps. External arrivals never enter the heap:
+// Serve processes each one after advancing past every event due before it.
 type evKind uint8
 
 const (
 	evActivate evKind = iota
-	// evArrive: an external request reaches the cluster front. Only the
-	// parallel/streaming path (Cluster.ServeStream with Workers > 0) pushes
-	// these; the sequential reference drives arrivals from its own loop, so
-	// its heap never contains one and its event sequence is untouched.
-	evArrive
 	evXfer
 	evDeliver
 	evPlan

@@ -87,16 +87,16 @@ func TestFlavorGrouping(t *testing.T) {
 	}
 }
 
-// TestHomogeneousPlanRejectsMixedPool: the scalar reference plan is only
-// legal on single-flavor pools.
-func TestHomogeneousPlanRejectsMixedPool(t *testing.T) {
+// TestHomogeneousReferenceRejectsMixedPool: the scalar reference plan is
+// only legal on single-flavor pools.
+func TestHomogeneousReferenceRejectsMixedPool(t *testing.T) {
 	_, err := New(Config{
 		Replicas:        mixedReplicas(perfFor(hw.A100_80G), 1, perfFor(hw.A30), 1, 8_000, 1),
 		Policy:          FutureHeadroom,
-		HomogeneousPlan: true,
+		homogeneousPlan: true,
 	})
 	if err == nil {
-		t.Fatal("HomogeneousPlan accepted on a two-flavor pool")
+		t.Fatal("homogeneous plan accepted on a two-flavor pool")
 	}
 }
 
@@ -325,14 +325,31 @@ type decisionTrace struct {
 	report   string
 }
 
-func runSeamScenario(seed uint64, homogeneous bool, flt *FaultConfig, rec ...obs.Recorder) decisionTrace {
-	return runSeamScenarioWorkers(seed, homogeneous, flt, 0, rec...)
+// compareTraces fails the test on the first field where two decision
+// traces diverge.
+func compareTraces(t *testing.T, label string, got, want decisionTrace) {
+	t.Helper()
+	compare := func(kind string, g, w []string) {
+		t.Helper()
+		if len(g) != len(w) {
+			t.Fatalf("%s: %s counts differ: got %d, reference %d", label, kind, len(g), len(w))
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Fatalf("%s: %s %d differs:\ngot:       %s\nreference: %s", label, kind, i, g[i], w[i])
+			}
+		}
+	}
+	compare("route", got.routes, want.routes)
+	compare("plan", got.plans, want.plans)
+	compare("shed", got.sheds, want.sheds)
+	compare("handoff", got.handoffs, want.handoffs)
+	if got.report != want.report {
+		t.Fatalf("%s: reports differ:\ngot:       %s\nreference: %s", label, got.report, want.report)
+	}
 }
 
-// runSeamScenarioWorkers is runSeamScenario on a chosen simulation core
-// (workers 0 = the single-threaded reference) — the substrate of the
-// parallel-equivalence tests in parallel_test.go.
-func runSeamScenarioWorkers(seed uint64, homogeneous bool, flt *FaultConfig, workers int, rec ...obs.Recorder) decisionTrace {
+func runSeamScenario(seed uint64, homogeneous bool, flt *FaultConfig, rec ...obs.Recorder) decisionTrace {
 	var recorder obs.Recorder
 	if len(rec) > 0 {
 		recorder = rec[0]
@@ -354,18 +371,17 @@ func runSeamScenarioWorkers(seed uint64, homogeneous bool, flt *FaultConfig, wor
 		Pools: []Config{
 			{
 				Role: engine.RolePrefillOnly, Replicas: prefillReplicas(2, 20_000), Policy: FutureHeadroom,
-				Planner: planner(2), HomogeneousPlan: homogeneous, OnRoute: onRoute(0),
+				Planner: planner(2), homogeneousPlan: homogeneous, OnRoute: onRoute(0),
 			},
 			{
 				Role: engine.RoleDecodeOnly, Replicas: decodeReplicas(3, 12_000, seed), Policy: FutureHeadroom,
-				Planner: planner(3), HomogeneousPlan: homogeneous, OnRoute: onRoute(1),
+				Planner: planner(3), homogeneousPlan: homogeneous, OnRoute: onRoute(1),
 			},
 		},
 		Link:      kv.MustNewLink(50e9, 0.002),
 		Admission: &AdmissionConfig{TTFTBudget: sla.TTFT, Shed: true, Slack: 0.5},
 		Faults:    flt,
 		Recorder:  recorder,
-		Workers:   workers,
 	})
 	results := c.Serve(poissonReqs(350, 60, seed), 1e9)
 	for _, s := range c.ShedRequests() {
@@ -386,7 +402,7 @@ func runSeamScenarioWorkers(seed uint64, homogeneous bool, flt *FaultConfig, wor
 // TestSingleFlavorMatchesHomogeneous is the refactor-seam equivalence
 // test: a cluster configured with a single flavor must route, plan, and
 // shed bit-identically to the pre-refactor homogeneous path (the scalar
-// HomogeneousPlan reference, replica 0's model everywhere) — same seeds,
+// homogeneous plan reference, replica 0's model everywhere) — same seeds,
 // same decisions — across the full disaggregated admission pipeline.
 func TestSingleFlavorMatchesHomogeneous(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {

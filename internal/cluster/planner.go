@@ -404,8 +404,9 @@ func (p *planner) tick(now float64, activeByFlavor []int) []int {
 }
 
 // sizeTargets converts a demand forecast into per-flavor replica targets:
-// the scalar pre-flavor rule under HomogeneousPlan, the cost-aware vector
-// rule otherwise. The two are decision-identical on single-flavor pools.
+// the scalar pre-flavor rule under the homogeneous reference plan, the
+// cost-aware vector rule otherwise. The two are decision-identical on
+// single-flavor pools.
 func (p *planner) sizeTargets(rate, isl, osl float64) []int {
 	if p.homogeneous {
 		p.targets[0] = p.targetScalar(rate, isl, osl)

@@ -108,19 +108,6 @@ type Config struct {
 	// caching off every replica matches zero tokens, so routing is
 	// bit-identical to the cache-blind policy either way.
 	AffinityWeight float64
-	// NaiveProbe computes every FutureHeadroom probe and reactive load with
-	// the reference core.PredictedBatchPeak (one estimator clone+sort per
-	// probe) instead of the warm per-replica estimators. The decisions are
-	// identical either way; this switch exists as the benchmark baseline
-	// and for cross-check tests.
-	NaiveProbe bool
-	// HomogeneousPlan sizes the SLA planner with the pre-flavor scalar rule
-	// — every replica assumed identical to replica 0 — instead of the
-	// flavor-aware vector sizing. The two are decision-identical on
-	// single-flavor pools; this switch is the cross-check baseline for the
-	// refactor-seam equivalence tests (the planner's NaiveProbe). Rejected
-	// on pools with more than one flavor.
-	HomogeneousPlan bool
 	// Admission enables cluster-front admission control when this Config
 	// builds the monolithic Fleet (cluster.New) or the router adapter — the
 	// same pipeline ClusterConfig.Admission gives an explicit cluster.
@@ -136,12 +123,21 @@ type Config struct {
 	// OnRoute, when non-nil, observes every routing decision into this pool
 	// (pool-local replica index).
 	OnRoute func(r *request.Request, replica int)
-	// Workers selects the simulation core when this Config builds the
-	// monolithic Fleet (cluster.New) — the same switch
-	// ClusterConfig.Workers gives an explicit cluster. Like Admission it is
-	// a cluster-wide concern: inside an explicit ClusterConfig a pool-level
-	// worker count is rejected.
-	Workers int
+
+	// Test-only reference twins; no exported option reaches them.
+	//
+	// naiveProbe computes every FutureHeadroom probe and reactive load with
+	// the reference core.PredictedBatchPeak (one estimator clone+sort per
+	// probe) instead of the warm per-replica estimators. The decisions are
+	// identical either way; it is the benchmark baseline and the
+	// cross-check oracle.
+	naiveProbe bool
+	// homogeneousPlan sizes the SLA planner with the pre-flavor scalar rule
+	// — every replica assumed identical to replica 0 — instead of the
+	// flavor-aware vector sizing. The two are decision-identical on
+	// single-flavor pools; it is the oracle of the refactor-seam
+	// equivalence tests. Rejected on pools with more than one flavor.
+	homogeneousPlan bool
 }
 
 // flavor groups a pool's replicas that share one hardware deployment: the
@@ -199,10 +195,6 @@ type replica struct {
 	inHeap    bool // a step event for this replica is in the event heap
 	pendingIn int  // booked KV transfers in flight toward this replica
 
-	// buf defers the engine's step effects (hooks, recorder emissions) for
-	// in-order replay by the batched core; nil on the reference path.
-	buf *engine.EffectBuffer
-
 	// Warm probe state: est holds QuantileEntry for every running and
 	// queued request, rebuilt lazily after the replica's state changes.
 	est      core.PeakEstimator
@@ -231,13 +223,6 @@ type Pool struct {
 	planScheduled bool
 	flavActive    []int // scratch: active replica count per flavor at tick time
 
-	// Probe fractions precomputed on the worker pool for one request
-	// (parallel core only; see Cluster.refreshProbes). pick consumes them
-	// when fracsFor matches the request it is routing, aligned with the
-	// accepting slice the fractions were computed over.
-	fracs    []float64
-	fracsFor *request.Request
-
 	scaleUps int
 	scaleIns int
 }
@@ -256,13 +241,13 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 	if cfg.Quantile == 0 {
 		cfg.Quantile = 0.9
 	}
-	if cfg.Quantile < 0 || cfg.Quantile > 1 {
+	if !(cfg.Quantile >= 0 && cfg.Quantile <= 1) { // rejects NaN too
 		return nil, fmt.Errorf("cluster: quantile %v outside [0,1]", cfg.Quantile)
 	}
 	if cfg.Scale != nil && cfg.Planner != nil {
 		return nil, fmt.Errorf("cluster: reactive Scale and predictive Planner are mutually exclusive")
 	}
-	if cfg.AffinityWeight < 0 {
+	if !(cfg.AffinityWeight >= 0) { // rejects NaN too
 		return nil, fmt.Errorf("cluster: negative affinity weight %v", cfg.AffinityWeight)
 	}
 	initial := len(cfg.Replicas)
@@ -295,11 +280,11 @@ func newPool(c *Cluster, id int, cfg Config) (*Pool, error) {
 		p.reps[i].awake = true
 	}
 	p.buildFlavors(c)
-	if cfg.HomogeneousPlan && len(p.flavors) > 1 {
-		return nil, fmt.Errorf("cluster: pool %d: HomogeneousPlan is the single-flavor reference, pool has %d flavors", id, len(p.flavors))
+	if cfg.homogeneousPlan && len(p.flavors) > 1 {
+		return nil, fmt.Errorf("cluster: pool %d: the homogeneous plan is the single-flavor reference, pool has %d flavors", id, len(p.flavors))
 	}
 	if p.cfg.Planner != nil {
-		p.plan = newPlanner(*p.cfg.Planner, p.flavors, cfg.Role, cfg.HomogeneousPlan)
+		p.plan = newPlanner(*p.cfg.Planner, p.flavors, cfg.Role, cfg.homogeneousPlan)
 		for _, rep := range p.reps {
 			rep.eng.AddFinishHook(func(_ float64, r *request.Request) {
 				// A decode pool corrects on observed MTPOT — the metric it
@@ -582,20 +567,10 @@ func (p *Pool) pick(req *request.Request) *replica {
 		// so a fitting slow replica always beats an overflowing fast one.
 		// Fits is a threshold on the raw fraction, so in a single-flavor
 		// pool (score == fraction) this is exactly the raw-fraction argmin.
-		fracs := p.fracs
-		if p.fracsFor != req || len(fracs) != len(cands) {
-			fracs = nil // no precomputed probes for this request: probe inline
-		}
-		p.fracsFor = nil
 		var best *replica
 		bestFits, bestScore := false, math.Inf(1)
-		for i, rep := range cands {
-			var frac float64
-			if fracs != nil {
-				frac = fracs[i]
-			} else {
-				frac = p.probe(rep, req)
-			}
+		for _, rep := range cands {
+			frac := p.probe(rep, req)
 			fits := frac <= 1
 			score := frac/rep.flv.relSpeed - p.affinity(rep, req)
 			if best == nil || betterFit(fits, score, bestFits, bestScore) {
@@ -632,7 +607,7 @@ func (p *Pool) routeTo(req *request.Request, rep *replica) {
 // allocation-free: the per-replica estimator is rebuilt in place only when
 // the replica's state changed, and the candidate is an O(log B) PeakWith.
 func (p *Pool) probe(rep *replica, req *request.Request) float64 {
-	if p.cfg.NaiveProbe {
+	if p.cfg.naiveProbe {
 		batch := rep.eng.RunningRequests()
 		batch = append(batch, rep.eng.QueuedRequests()...)
 		batch = append(batch, req)
@@ -696,12 +671,10 @@ func (p *Pool) bestProbe(req *request.Request, gate float64) (*replica, float64)
 // affinity is the prefix-cache routing bonus subtracted from a replica's
 // speed-normalized probe score: AffinityWeight × the fraction of the
 // request's prompt the replica's resident prefix blocks already hold. The
-// match is an exact read-only probe of the replica's KV pool, evaluated on
-// the cluster thread (the parallel core precomputes only the pure memory
-// fractions; the affinity term reads live cache state, which routing of
-// earlier arrivals mutates). Exactly 0 whenever the blend is off, the
-// request carries no prefix hashes, or caching is disabled — the score then
-// reduces bit-identically to frac/relSpeed.
+// match is an exact read-only probe of the replica's KV pool. Exactly 0
+// whenever the blend is off, the request carries no prefix hashes, or
+// caching is disabled — the score then reduces bit-identically to
+// frac/relSpeed.
 func (p *Pool) affinity(rep *replica, req *request.Request) float64 {
 	w := p.cfg.AffinityWeight
 	if w == 0 || len(req.PrefixHashes) == 0 || req.InputLen <= 0 {
@@ -747,7 +720,7 @@ func (p *Pool) bestCachedTokens(r *request.Request) int {
 // load returns the predicted peak of a replica's batch plus queue (no
 // candidate) as a fraction of capacity — the reactive autoscaler's signal.
 func (p *Pool) load(rep *replica) float64 {
-	if p.cfg.NaiveProbe {
+	if p.cfg.naiveProbe {
 		batch := rep.eng.RunningRequests()
 		batch = append(batch, rep.eng.QueuedRequests()...)
 		peak := core.PredictedBatchPeak(batch, rep.eng.History(), p.cfg.Quantile)

@@ -68,7 +68,7 @@ func cachedReplicas(n, capacity, offload int, seed uint64) []*engine.Engine {
 // session traffic, with a non-zero AffinityWeight configured on the entry
 // pool but caching disabled on every engine. strip removes the prefix
 // stamps before serving.
-func runPrefixPin(seed uint64, strip bool, flt *FaultConfig, workers int) decisionTrace {
+func runPrefixPin(seed uint64, strip bool, flt *FaultConfig) decisionTrace {
 	var tr decisionTrace
 	onRoute := func(pool int) func(r *request.Request, rep int) {
 		return func(r *request.Request, rep int) {
@@ -96,7 +96,6 @@ func runPrefixPin(seed uint64, strip bool, flt *FaultConfig, workers int) decisi
 		Link:      kv.MustNewLink(50e9, 0.002),
 		Admission: &AdmissionConfig{TTFTBudget: sla.TTFT, Shed: true, Slack: 0.5},
 		Faults:    flt,
-		Workers:   workers,
 	})
 	reqs := sessionReqs(350, 60, seed)
 	if strip {
@@ -122,7 +121,7 @@ func runPrefixPin(seed uint64, strip bool, flt *FaultConfig, workers int) decisi
 // every engine, prefix hashes riding on the requests — and a configured
 // AffinityWeight — must change no decision anywhere: routing, plans, sheds,
 // handoffs, and the report are bit-identical to the same traffic with the
-// stamps stripped, on both simulation cores and through the fault storm.
+// stamps stripped, with and without the fault storm.
 func TestPrefixDisabledEquivalence(t *testing.T) {
 	storm := func(seed uint64) *FaultConfig {
 		return &FaultConfig{
@@ -134,21 +133,9 @@ func TestPrefixDisabledEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ref := runPrefixPin(seed, true, nil, 0)
-			refStorm := runPrefixPin(seed, true, storm(seed), 0)
-			cases := []struct {
-				label string
-				got   decisionTrace
-				want  decisionTrace
-			}{
-				{"hashed", runPrefixPin(seed, false, nil, 0), ref},
-				{"hashed workers=4", runPrefixPin(seed, false, nil, 4), ref},
-				{"hashed storm", runPrefixPin(seed, false, storm(seed), 0), refStorm},
-				{"hashed storm workers=4", runPrefixPin(seed, false, storm(seed), 4), refStorm},
-			}
-			for _, tc := range cases {
-				compareTraces(t, tc.label, tc.got, tc.want)
-			}
+			compareTraces(t, "hashed", runPrefixPin(seed, false, nil), runPrefixPin(seed, true, nil))
+			compareTraces(t, "hashed storm",
+				runPrefixPin(seed, false, storm(seed)), runPrefixPin(seed, true, storm(seed)))
 		})
 	}
 }

@@ -18,7 +18,8 @@ import (
 // bounded share of the tightest waiting request's remaining TTFT budget
 // per chunk — long prompts yield to tight deadlines behind them and
 // stretch out when slack is plentiful. The greedy policy is kept as the
-// reference for decision-equivalence tests, mirroring NaivePeak/NaiveProbe.
+// reference for decision-equivalence tests, mirroring NaivePeak and the
+// cluster's naive probe.
 
 // chunkEmit is one chunk's deferred recorder emission: chunks are carved
 // before the iteration's duration is known, but observed at its end.
