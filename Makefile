@@ -40,15 +40,15 @@ fmt-check:
 bench:
 	./scripts/bench.sh
 
-# bench-fleet refreshes only BENCH_fleet.json (the cmd/fleetsim scenario
-# family: autoscaling comparison, disaggregation, overload shedding, and
-# the heterogeneous mixed-GPU fleet) without the micro-bench suite.
+# bench-fleet refreshes only BENCH_fleet.json (the standard cmd/fleetsim
+# scenario set), failing unless every scenario reproduces its claim, and
+# runs the traced-vs-untraced parity check, without the micro-bench suite.
 bench-fleet:
 	./scripts/bench.sh fleet
 
 # bench-scale refreshes BENCH_scale.json: the streamed million-request day
-# trace replayed SCALE_REPEAT times, hard-failing unless every repeat's
-# report is byte-identical. Scale up with e.g.
+# trace (fleetsim -scenario scale) replayed SCALE_REPEAT times, hard-failing
+# unless every repeat's report is byte-identical. Scale up with e.g.
 # `make bench-scale SCALE_REQUESTS=10000000`.
 bench-scale:
 	SCALE_REQUESTS=$(SCALE_REQUESTS) SCALE_REPEAT=$(SCALE_REPEAT) \

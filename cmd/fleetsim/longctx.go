@@ -2,129 +2,108 @@ package main
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/lightllm-go/lightllm/internal/cluster"
-	"github.com/lightllm-go/lightllm/internal/core"
 	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/hw"
-	"github.com/lightllm-go/lightllm/internal/model"
-	"github.com/lightllm-go/lightllm/internal/perf"
 	"github.com/lightllm-go/lightllm/internal/request"
 	"github.com/lightllm-go/lightllm/internal/rng"
 	"github.com/lightllm-go/lightllm/internal/stats"
 	"github.com/lightllm-go/lightllm/internal/workload"
 )
 
-// The -longctx scenario: interactive ShareGPT chat traffic blended with a
+// The longctx scenario: interactive ShareGPT chat traffic blended with a
 // long-context document class (32k+ prompts, short outputs), swept across
 // the long-prompt share axis at fixed provisioned capacity. Each share
-// point runs under SLO-aware chunked prefill; with -compare it also runs
-// unchunked and greedy fixed-chunk on the identical workload and fleet, so
-// the trio isolates what chunk *scheduling* is worth: unchunked fuses each
-// 32k prompt into one multi-second iteration that blocks every queued chat
-// request (head-of-line blocking), greedy chunking interleaves but sizes
-// chunks blindly, and the SLO-aware sizer shrinks chunks only while a
-// tighter-deadline request is actually waiting. The win condition is the
-// slo arm beating none on short-request served p99 TTFT without losing
-// long-prompt attainment.
+// point runs unchunked, greedy fixed-chunk and SLO-aware chunked prefill on
+// the identical workload and fleet, so the trio isolates what chunk
+// *scheduling* is worth: unchunked fuses each 32k prompt into one
+// multi-second iteration that blocks every queued chat request
+// (head-of-line blocking), greedy chunking interleaves but sizes chunks
+// blindly, and the SLO-aware sizer shrinks chunks only while a
+// tighter-deadline request is actually waiting.
+//
+// The claim is made at a 10% long share, where head-of-line blocking
+// dominates: slo beats none on short-request served p99 TTFT without losing
+// long-prompt attainment. At 2% and 5% the blocking is rare and slo's short
+// p99 sits within a millisecond of none's, slightly above it (0.1769 vs
+// 0.1762 s and 0.1771 vs 0.1765 s in the committed record).
+const (
+	lcRate     = 4.0     // blended arrival rate, req/s
+	lcDuration = 240.0   // workload span, s
+	lcCapacity = 131_072 // per-replica KV capacity: a 64k prompt must fit beside in-flight chat work
+	lcChunk    = 512     // greedy's fixed chunk; slo's size when no deadline presses
+	lcLongTTFT = 20.0    // the long-document class's TTFT budget, s (chat keeps the SLA's)
+	lcClaimAt  = 0.10    // the long share the claim is made at
+)
 
-// longctxModes expands the long-share sweep into mode names. With compare
-// the unchunked and greedy arms run first at each point, so the slo row is
-// judged against baselines that already exist.
-func longctxModes(shares []float64, compare bool) []string {
-	var modes []string
+// longctxArms expands the long-share sweep into none, greedy and slo arms
+// per point, in that order, so the slo row is judged against baselines
+// that already exist.
+func longctxArms(shares ...float64) []arm {
+	var arms []arm
 	for _, s := range shares {
-		if compare {
-			modes = append(modes,
-				fmt.Sprintf("longctx-%.2f-none", s),
-				fmt.Sprintf("longctx-%.2f-greedy", s))
+		s := s
+		for _, p := range []struct {
+			name  string
+			chunk engine.ChunkConfig
+		}{
+			{"none", engine.ChunkConfig{}},
+			{"greedy", engine.ChunkConfig{Enabled: true, Policy: engine.ChunkGreedyFixed, ChunkTokens: lcChunk}},
+			{"slo", engine.ChunkConfig{Enabled: true, Policy: engine.ChunkSLOAware, ChunkTokens: lcChunk}},
+		} {
+			p := p
+			arms = append(arms, arm{fmt.Sprintf("longctx-%.2f-%s", s, p.name), func(c config) row {
+				r := longctx(c, s, p.chunk)
+				r.ChunkPolicy = p.name
+				return r
+			}})
 		}
-		modes = append(modes, fmt.Sprintf("longctx-%.2f-slo", s))
 	}
-	return modes
-}
-
-// longctxChunk maps a sweep arm to its engine chunking configuration.
-func longctxChunk(arm string, chunkTokens int) engine.ChunkConfig {
-	switch arm {
-	case "none":
-		return engine.ChunkConfig{}
-	case "greedy":
-		return engine.ChunkConfig{Enabled: true, Policy: engine.ChunkGreedyFixed, ChunkTokens: chunkTokens}
-	case "slo":
-		return engine.ChunkConfig{Enabled: true, Policy: engine.ChunkSLOAware, ChunkTokens: chunkTokens}
-	default:
-		fatal(fmt.Errorf("unknown longctx arm %q (none, greedy, slo)", arm))
-		return engine.ChunkConfig{}
-	}
+	return arms
 }
 
 // longctxTraffic synthesizes one share point's arrival list: the blended
-// chat + long-document mixture at -lc-rate, with per-class TTFT deadlines
-// stamped up front (the SLA budget for chat, the looser -lc-long-ttft for
-// documents) — the deadlines the SLO-aware chunk sizer schedules against.
-func longctxTraffic(opts options, share float64) []*request.Request {
-	gen := workload.LongCtxMix(share)
-	r := rng.New(opts.seed + 3000)
-	n := int(opts.lcRate * opts.lcDur)
-	reqs := workload.Build(gen, r, n, 1, 512)
-	workload.AssignPoissonArrivals(reqs, r, opts.lcRate, 0)
+// chat + long-document mixture, with per-class TTFT deadlines stamped up
+// front (the SLA budget for chat, lcLongTTFT for documents) — the deadlines
+// the SLO-aware chunk sizer schedules against.
+func longctxTraffic(c config, share float64) []*request.Request {
+	r := rng.New(c.seed + 3000)
+	reqs := workload.Build(workload.LongCtxMix(share), r, int(lcRate*lcDuration), 1, 512)
+	workload.AssignPoissonArrivals(reqs, r, lcRate, 0)
 	for _, q := range reqs {
-		budget := opts.sla.TTFT
+		budget := sla.TTFT
 		if q.Class == workload.LongContext.Label {
-			budget = opts.lcLongTTFT
+			budget = lcLongTTFT
 		}
 		q.TTFTDeadline = q.ArrivalTime + budget
 	}
 	return reqs
 }
 
-// buildLongctxFleet assembles the fixed-size Past-Future fleet all three
-// arms share: big-KV replicas (long prompts resident next to chat decode
-// need the room) with the same per-iteration prefill token budget — the
-// only delta between the arms is the chunking configuration itself. The
-// fleet is fixed-size for the same reason the multiturn sweep's is: the
-// acceptance axis is equal provisioned capacity, and an autoscaler would
-// paper over head-of-line blocking by scaling out.
-func buildLongctxFleet(opts options, chunk engine.ChunkConfig) *cluster.Fleet {
-	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
-	engines := make([]*engine.Engine, opts.replicas)
-	for i := range engines {
-		engines[i] = engine.MustNew(engine.Config{
-			Perf: pm,
-			Scheduler: core.MustNewPastFuture(core.PastFutureConfig{
-				Reserved: 0.05, Rng: rng.New(opts.seed + uint64(i)),
-			}),
-			CapacityOverride: opts.lcCap,
-			MaxPrefillTokens: 4 * opts.lcChunk,
+// longctx serves one (share, chunking) point on the fixed-size Past-Future
+// fleet all three arms share: big-KV replicas (long prompts resident next
+// to chat decode need the room) with the same per-iteration prefill token
+// budget, so the only delta between the arms is the chunking
+// configuration. The fleet is fixed-size for the same reason the multiturn
+// sweep's is: an autoscaler would paper over head-of-line blocking by
+// scaling out. The SLA axes split by class: short-request served p99 TTFT
+// and attainment for chat, deadline attainment over all arrivals for the
+// long-document class.
+func longctx(c config, share float64, chunk engine.ChunkConfig) row {
+	f := cluster.MustNew(cluster.Config{
+		Replicas: pastFuture(c.replicas, c.seed, engine.Config{
+			Perf:             perfModel(hw.A100_80G),
+			CapacityOverride: lcCapacity,
+			MaxPrefillTokens: 4 * lcChunk,
 			Chunked:          chunk,
-		})
-	}
-	f, err := cluster.New(cluster.Config{
-		Replicas: engines,
-		Policy:   opts.policy,
-		Recorder: opts.rec,
+		}),
+		Policy:   policy,
+		Recorder: c.rec,
 	})
-	if err != nil {
-		fatal(err)
-	}
-	return f
-}
-
-// runLongctxOne serves one (share, arm) point and splits the SLA axes by
-// class: short-request served p99 TTFT and attainment for the chat class,
-// deadline attainment over all arrivals for the long-document class.
-func runLongctxOne(opts options) row {
-	var share float64
-	var arm string
-	if _, err := fmt.Sscanf(opts.scaler, "longctx-%f-%s", &share, &arm); err != nil {
-		fatal(fmt.Errorf("bad longctx mode %q: %v", opts.scaler, err))
-	}
-	reqs := longctxTraffic(opts, share)
-	f := buildLongctxFleet(opts, longctxChunk(arm, opts.lcChunk))
-	results := f.Serve(reqs, 1e9)
-	rep := f.Report(results, opts.sla)
+	reqs := longctxTraffic(c, share)
+	r, _, results := serve(f, reqs)
+	r.LongShare = share
 
 	longArrived := 0
 	for _, q := range reqs {
@@ -133,53 +112,30 @@ func runLongctxOne(opts options) row {
 		}
 	}
 	var shortTTFTs []float64
-	shortOK, shortServed, longOK, longServed := 0, 0, 0, 0
-	var chunkIters int
-	var chunks int64
+	shortOK, longOK := 0, 0
 	for _, res := range results {
-		chunkIters += res.ChunkIters
-		chunks += res.PrefillChunks
+		r.ChunkIters += res.ChunkIters
+		r.PrefillChunks += res.PrefillChunks
 		for _, q := range res.Finished {
 			if q.Class == workload.LongContext.Label {
-				longServed++
-				if t := q.TTFT(); t >= 0 && t <= opts.lcLongTTFT {
+				r.LongServed++
+				if t := q.TTFT(); t >= 0 && t <= lcLongTTFT {
 					longOK++
 				}
 				continue
 			}
-			shortServed++
+			r.ShortServed++
 			if t := q.TTFT(); t >= 0 {
 				shortTTFTs = append(shortTTFTs, t)
-				if t <= opts.sla.TTFT {
+				if t <= sla.TTFT {
 					shortOK++
 				}
 			}
 		}
 	}
-	r := row{
-		Mode:           opts.scaler,
-		Policy:         opts.policy.String(),
-		Finished:       rep.Finished,
-		TTFTAttainment: attainment(rep.Summary.Total, rep.Summary.ViolatedTTFT),
-		SLAAttainment:  rep.Summary.SLARate(),
-		MeanTTFT:       rep.Summary.MeanTTFT,
-		P99TTFT:        rep.Summary.P99TTFT,
-		Goodput:        rep.Summary.Goodput,
-		GoodputReq:     rep.Summary.GoodCompletionRate(),
-		ReplicaSeconds: rep.ReplicaSeconds,
-		CostSeconds:    rep.CostSeconds,
-		CostPerGood:    rep.Summary.CostPerGoodCompletion(),
-		Duration:       rep.Duration,
-		LongShare:      share,
-		ChunkPolicy:    arm,
-		ShortServed:    shortServed,
-		LongServed:     longServed,
-		ChunkIters:     chunkIters,
-		PrefillChunks:  chunks,
-	}
 	if len(shortTTFTs) > 0 {
 		r.ShortP99TTFT = stats.Percentile(shortTTFTs, 0.99)
-		r.ShortAttainment = float64(shortOK) / float64(shortServed)
+		r.ShortAttainment = float64(shortOK) / float64(r.ShortServed)
 	}
 	if longArrived > 0 {
 		r.LongAttainment = float64(longOK) / float64(longArrived)
@@ -187,19 +143,32 @@ func runLongctxOne(opts options) row {
 	return r
 }
 
+// longctxClaim: at the lcClaimAt share, slo beats none on short-request
+// served p99 TTFT and every long prompt still meets its deadline.
+func longctxClaim(rows []row) error {
+	for i := 0; i+2 < len(rows); i += 3 {
+		none, slo := rows[i], rows[i+2]
+		if slo.LongShare != lcClaimAt {
+			continue
+		}
+		if slo.ShortP99TTFT >= none.ShortP99TTFT {
+			return fmt.Errorf("%s short-request p99 TTFT %.3fs, not below %s's %.3fs",
+				slo.Mode, slo.ShortP99TTFT, none.Mode, none.ShortP99TTFT)
+		}
+		if slo.LongAttainment < 1 {
+			return fmt.Errorf("%s long-prompt attainment %.3f, below 1", slo.Mode, slo.LongAttainment)
+		}
+		return nil
+	}
+	return fmt.Errorf("no arm at long share %.2f", lcClaimAt)
+}
+
 // printLongctx renders the share sweep as per-class TTFT curves under the
 // standard table.
 func printLongctx(rows []row) {
-	header := false
+	fmt.Printf("%-22s %12s %10s %10s %10s %12s\n",
+		"longctx", "short-p99", "short-att", "long-att", "served", "chunks")
 	for _, r := range rows {
-		if !strings.HasPrefix(r.Mode, "longctx-") {
-			continue
-		}
-		if !header {
-			fmt.Printf("%-22s %12s %10s %10s %10s %12s\n",
-				"longctx", "short-p99", "short-att", "long-att", "served", "chunks")
-			header = true
-		}
 		fmt.Printf("%-22s %11.2fs %9.1f%% %9.1f%% %5d+%-4d %12d\n",
 			r.Mode, r.ShortP99TTFT, r.ShortAttainment*100, r.LongAttainment*100,
 			r.ShortServed, r.LongServed, r.PrefillChunks)

@@ -2,63 +2,48 @@ package main
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"github.com/lightllm-go/lightllm/internal/cluster"
-	"github.com/lightllm-go/lightllm/internal/core"
 	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/hw"
-	"github.com/lightllm-go/lightllm/internal/model"
-	"github.com/lightllm-go/lightllm/internal/perf"
 	"github.com/lightllm-go/lightllm/internal/request"
 	"github.com/lightllm-go/lightllm/internal/rng"
 	"github.com/lightllm-go/lightllm/internal/workload"
 )
 
-// The -multiturn scenario: multi-turn chat traffic (shared system prompts,
+// The multiturn scenario: multi-turn chat traffic (shared system prompts,
 // growing per-turn histories) served by a caching fleet, swept across the
 // prefix-share axis — the probability a session continues past each turn.
-// Each share point runs under cache-affinity routing; with -compare it also
-// runs cache-blind (AffinityWeight 0) on the identical workload and fleet,
-// so the pair isolates what routing alone is worth: the same blocks are
-// cached either way, but blind routing scatters a session's turns across
-// replicas that never saw its history.
+// Each share point runs cache-blind (AffinityWeight 0) and then under
+// cache-affinity routing on the identical workload and fleet, so the pair
+// isolates what routing alone is worth: the same blocks are cached either
+// way, but blind routing scatters a session's turns across replicas that
+// never saw its history.
+const (
+	mtRate     = 10.0   // session-turn arrival rate, req/s
+	mtDuration = 240.0  // workload span, s
+	mtCapacity = 40_000 // per-replica KV capacity: resident prefixes sit on top of in-flight work
+	affinity   = 0.5    // the affinity arm's routing weight
+)
 
-// parseShares parses the -shares sweep list ("0,0.25,0.5,0.75").
-func parseShares(s string) []float64 {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v < 0 || v >= 1 {
-			fatal(fmt.Errorf("bad -shares entry %q (want comma-separated values in [0,1))", part))
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		fatal(fmt.Errorf("-shares is empty"))
-	}
-	return out
-}
-
-// multiturnModes expands the share sweep into mode names. With compare the
-// cache-blind arm runs first at each point, so the affinity row's savings
-// are measured against a baseline that already exists.
-func multiturnModes(shares []float64, compare bool) []string {
-	var modes []string
+// multiturnArms expands the share sweep into a blind and an affinity arm
+// per point. The blind arm runs first, so the affinity row's savings are
+// measured against a baseline that already exists.
+func multiturnArms(shares ...float64) []arm {
+	var arms []arm
 	for _, s := range shares {
-		if compare {
-			modes = append(modes, fmt.Sprintf("multiturn-%.2f-blind", s))
-		}
-		modes = append(modes, fmt.Sprintf("multiturn-%.2f-affinity", s))
+		s := s
+		arms = append(arms,
+			arm{fmt.Sprintf("multiturn-%.2f-blind", s), func(c config) row { return multiturn(c, s, 0) }},
+			arm{fmt.Sprintf("multiturn-%.2f-affinity", s), func(c config) row { return multiturn(c, s, affinity) }})
 	}
-	return modes
+	return arms
 }
 
 // sessionTraffic synthesizes the multi-turn arrival list for one share
 // point: ShareGPT turn lengths, a 256-token system prompt shared by 70% of
-// sessions, histories capped at 3000 tokens, Poisson arrivals at -mt-rate.
-func sessionTraffic(opts options, share float64) []*request.Request {
+// sessions, histories capped at 3000 tokens, Poisson arrivals.
+func sessionTraffic(c config, share float64) []*request.Request {
 	gen, err := workload.NewSessions(workload.SessionsConfig{
 		Base:               workload.ShareGPT,
 		BlockTokens:        64,
@@ -70,133 +55,81 @@ func sessionTraffic(opts options, share float64) []*request.Request {
 		MaxInputTokens:     3000,
 	})
 	if err != nil {
-		fatal(err)
+		panic(err) // the configuration is constant; an error is a bug
 	}
-	r := rng.New(opts.seed + 2000)
-	n := int(opts.mtRate * opts.mtDur)
-	reqs := workload.Build(gen, r, n, 1, 512)
-	workload.AssignPoissonArrivals(reqs, r, opts.mtRate, 0)
+	r := rng.New(c.seed + 2000)
+	reqs := workload.Build(gen, r, int(mtRate*mtDuration), 1, 512)
+	workload.AssignPoissonArrivals(reqs, r, mtRate, 0)
 	return reqs
 }
 
-// buildMultiturnFleet assembles the caching fleet both arms share: Past-
-// Future replicas with the prefix cache on and an unbounded host offload
-// tier (evictions spill, later turns restore at wire cost). The fleet is
-// fixed-size — the acceptance axis is equal provisioned capacity, so the
-// autoscaler must not paper over blind routing's extra prefill by scaling
-// out. weight is the only difference between the arms.
-func buildMultiturnFleet(opts options, weight float64) *cluster.Fleet {
-	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
-	engines := make([]*engine.Engine, opts.replicas)
-	for i := range engines {
-		engines[i] = engine.MustNew(engine.Config{
-			Perf: pm,
-			Scheduler: core.MustNewPastFuture(core.PastFutureConfig{
-				Reserved: 0.05, Rng: rng.New(opts.seed + uint64(i)),
-			}),
-			CapacityOverride: opts.mtCap,
+// multiturn serves one (share, weight) point on the caching fleet both arms
+// share: Past-Future replicas with the prefix cache on and an unbounded
+// host offload tier (evictions spill, later turns restore at wire cost).
+// The fleet is fixed-size — the acceptance axis is equal provisioned
+// capacity, so an autoscaler must not paper over blind routing's extra
+// prefill by scaling out. weight is the only difference between the arms.
+func multiturn(c config, share, weight float64) row {
+	f := cluster.MustNew(cluster.Config{
+		Replicas: pastFuture(c.replicas, c.seed, engine.Config{
+			Perf:             perfModel(hw.A100_80G),
+			CapacityOverride: mtCapacity,
 			PrefixCache: engine.PrefixCacheConfig{
 				Enabled: true, BlockTokens: 64, OffloadCapacityTokens: -1,
 			},
-		})
-	}
-	f, err := cluster.New(cluster.Config{
-		Replicas:       engines,
-		Policy:         opts.policy,
+		}),
+		Policy:         policy,
 		AffinityWeight: weight,
-		Recorder:       opts.rec,
+		Recorder:       c.rec,
 	})
-	if err != nil {
-		fatal(err)
-	}
-	return f
-}
-
-// runMultiturnOne serves one (share, arm) point and rolls the cache
-// counters into the row alongside the standard SLA/cost fields.
-func runMultiturnOne(opts options) row {
-	var share float64
-	var arm string
-	if _, err := fmt.Sscanf(opts.scaler, "multiturn-%f-%s", &share, &arm); err != nil {
-		fatal(fmt.Errorf("bad multiturn mode %q: %v", opts.scaler, err))
-	}
-	weight := 0.0
-	if arm == "affinity" {
-		weight = opts.affinityW
-	}
-	reqs := sessionTraffic(opts, share)
-	f := buildMultiturnFleet(opts, weight)
-	results := f.Serve(reqs, 1e9)
-	rep := f.Report(results, opts.sla)
-	var hits, restored, prefill, input int64
+	r, _, results := serve(f, sessionTraffic(c, share))
+	r.PrefixShare = share
 	for _, res := range results {
-		hits += res.CacheHitTokens
-		restored += res.CacheRestoredTokens
-		prefill += res.PrefillComputeTokens
-		input += res.InputTokens
+		r.CacheHitTokens += res.CacheHitTokens
+		r.RestoredTokens += res.CacheRestoredTokens
+		r.PrefillTokens += res.PrefillComputeTokens
+		r.InputTokens += res.InputTokens
 	}
-	r := row{
-		Mode:           opts.scaler,
-		Policy:         opts.policy.String(),
-		Finished:       rep.Finished,
-		TTFTAttainment: attainment(rep.Summary.Total, rep.Summary.ViolatedTTFT),
-		SLAAttainment:  rep.Summary.SLARate(),
-		MeanTTFT:       rep.Summary.MeanTTFT,
-		P99TTFT:        rep.Summary.P99TTFT,
-		Goodput:        rep.Summary.Goodput,
-		GoodputReq:     rep.Summary.GoodCompletionRate(),
-		ReplicaSeconds: rep.ReplicaSeconds,
-		CostSeconds:    rep.CostSeconds,
-		CostPerGood:    rep.Summary.CostPerGoodCompletion(),
-		ScaleOuts:      rep.ScaleOuts,
-		ScaleIns:       rep.ScaleIns,
-		Duration:       rep.Duration,
-		PrefixShare:    share,
-		CacheHitTokens: hits,
-		RestoredTokens: restored,
-		PrefillTokens:  prefill,
-		InputTokens:    input,
-	}
-	if input > 0 {
-		r.CacheHitRate = float64(hits+restored) / float64(input)
+	if r.InputTokens > 0 {
+		r.CacheHitRate = float64(r.CacheHitTokens+r.RestoredTokens) / float64(r.InputTokens)
 	}
 	return r
 }
 
 // fillPrefillSavings annotates each affinity row with its prefill-token
-// savings relative to the cache-blind arm at the same share point — the
-// acceptance axis of the sweep. No-op for rows without a paired baseline.
+// savings relative to the blind arm at the same share point.
 func fillPrefillSavings(rows []row) {
-	blind := map[float64]int64{}
-	for _, r := range rows {
-		if strings.HasSuffix(r.Mode, "-blind") {
-			blind[r.PrefixShare] = r.PrefillTokens
+	for i := 0; i+1 < len(rows); i += 2 {
+		if blind := rows[i].PrefillTokens; blind > 0 {
+			rows[i+1].PrefillSavings = 1 - float64(rows[i+1].PrefillTokens)/float64(blind)
 		}
 	}
-	for i := range rows {
-		r := &rows[i]
-		if !strings.HasSuffix(r.Mode, "-affinity") {
+}
+
+// multiturnClaim: at every share above zero, affinity routing beats blind
+// routing on served p99 TTFT and on prefill tokens computed.
+func multiturnClaim(rows []row) error {
+	for i := 0; i+1 < len(rows); i += 2 {
+		blind, aff := rows[i], rows[i+1]
+		if blind.PrefixShare == 0 {
 			continue
 		}
-		if base, ok := blind[r.PrefixShare]; ok && base > 0 {
-			r.PrefillSavings = 1 - float64(r.PrefillTokens)/float64(base)
+		if aff.P99TTFT >= blind.P99TTFT {
+			return fmt.Errorf("%s served p99 TTFT %.3fs, not below %s's %.3fs", aff.Mode, aff.P99TTFT, blind.Mode, blind.P99TTFT)
+		}
+		if aff.PrefillTokens >= blind.PrefillTokens {
+			return fmt.Errorf("%s computed %d prefill tokens, not fewer than %s's %d", aff.Mode, aff.PrefillTokens, blind.Mode, blind.PrefillTokens)
 		}
 	}
+	return nil
 }
 
 // printMultiturn renders the share sweep as hit-rate / TTFT / provisioning
 // curves under the standard table.
 func printMultiturn(rows []row) {
-	header := false
+	fmt.Printf("%-24s %8s %9s %9s %12s %14s %12s\n",
+		"multiturn", "hit-rate", "p99TTFT", "sla-att", "replica-sec", "prefill-tok", "vs-blind")
 	for _, r := range rows {
-		if !strings.HasPrefix(r.Mode, "multiturn-") {
-			continue
-		}
-		if !header {
-			fmt.Printf("%-24s %8s %9s %9s %12s %14s %12s\n",
-				"multiturn", "hit-rate", "p99TTFT", "sla-att", "replica-sec", "prefill-tok", "vs-blind")
-			header = true
-		}
 		savings := ""
 		if r.PrefillSavings != 0 {
 			savings = fmt.Sprintf("%+.1f%%", -r.PrefillSavings*100)

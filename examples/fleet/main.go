@@ -10,7 +10,7 @@ import (
 	"log"
 
 	"github.com/lightllm-go/lightllm"
-	"github.com/lightllm-go/lightllm/internal/router"
+	"github.com/lightllm-go/lightllm/internal/cluster"
 	"github.com/lightllm-go/lightllm/internal/workload"
 )
 
@@ -45,12 +45,12 @@ func main() {
 
 	fmt.Println("routing 300 mixed-size requests over 3 Llama-2-7B replicas:")
 	fmt.Printf("%-18s %10s %10s %12s\n", "policy", "meanTTFT", "p99TTFT", "imbalance")
-	for _, pol := range []router.Policy{router.RoundRobin, router.LeastLoaded, router.FutureHeadroom} {
-		rt, err := router.New(router.Config{Replicas: mkReplicas(3), Policy: pol})
+	for _, pol := range []cluster.Policy{cluster.RoundRobin, cluster.LeastLoaded, cluster.FutureHeadroom} {
+		f, err := cluster.New(cluster.Config{Replicas: mkReplicas(3), Policy: pol})
 		if err != nil {
 			log.Fatal(err)
 		}
-		results := rt.Serve(mkStream(), 1e9)
+		results := f.Serve(mkStream(), 1e9)
 		var sum, worst float64
 		var n int
 		for _, res := range results {
@@ -62,23 +62,23 @@ func main() {
 				n++
 			}
 		}
-		fmt.Printf("%-18s %9.2fs %9.2fs %12.3f\n", pol, sum/float64(n), worst, rt.Imbalance())
+		fmt.Printf("%-18s %9.2fs %9.2fs %12.3f\n", pol, sum/float64(n), worst, f.Imbalance())
 	}
 
 	// Predictive autoscaling: start with one replica, grow under load.
 	fmt.Println("\npredictive autoscaling (min 1, max 4 replicas, high-water 70%):")
-	rt, err := router.New(router.Config{
+	f, err := cluster.New(cluster.Config{
 		Replicas: mkReplicas(4),
-		Policy:   router.FutureHeadroom,
-		Scale:    &router.AutoScale{Min: 1, Max: 4, HighWater: 0.7, LowWater: 0.2, ActivationDelay: 5},
+		Policy:   cluster.FutureHeadroom,
+		Scale:    &cluster.AutoScale{Min: 1, Max: 4, HighWater: 0.7, LowWater: 0.2, ActivationDelay: 5},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rt.Serve(mkStream(), 1e9)
-	out, in := rt.ScaleEvents()
+	f.Serve(mkStream(), 1e9)
+	out, in := f.ScaleEvents()
 	fmt.Printf("scale-out events: %d, scale-in events: %d, final active replicas: %d\n",
-		out, in, rt.ActiveReplicas())
+		out, in, f.ActiveReplicas())
 	fmt.Println("\nthe estimator that schedules a single batch also sizes the fleet:")
 	fmt.Println("predicted future memory demand is the load signal (§7 of the paper).")
 }

@@ -16,8 +16,9 @@ import (
 
 // Replay determinism: a seeded scenario replayed on fresh engines must
 // route, plan, shed, hand off and report identically. The benchmark's
-// byte-identical-report gate and fleetsim -scale's reports_match rest on
-// this; a map iteration or state shared across runs breaks it.
+// byte-identical-report gate and the reports_match of fleetsim's scale
+// scenario rest on this; a map iteration or state shared across runs
+// breaks it.
 
 // TestSeamReplayDeterministic replays the full disaggregated pipeline
 // (admission holds and sheds, per-pool SLA planners, KV handoffs over a

@@ -406,6 +406,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.StaticBatchSize == 0 {
 		cfg.StaticBatchSize = 8
 	}
+	if cfg.CapacityOverride < 0 {
+		return nil, fmt.Errorf("engine: negative capacity override %d", cfg.CapacityOverride)
+	}
 	capacity := cfg.Perf.CapacityTokens()
 	if cfg.CapacityOverride > 0 {
 		capacity = cfg.CapacityOverride

@@ -418,14 +418,19 @@ func TestBlockFragmentationAccounting(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("missing perf accepted")
-	}
-	if _, err := New(Config{Perf: testPerf(t)}); err == nil {
-		t.Fatal("missing scheduler accepted")
-	}
-	if _, err := New(Config{Perf: testPerf(t), Scheduler: core.NewOracle(), BlockSize: -1}); err == nil {
-		t.Fatal("negative block size accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"missing perf", Config{}},
+		{"missing scheduler", Config{Perf: testPerf(t)}},
+		{"negative block size", Config{Perf: testPerf(t), Scheduler: core.NewOracle(), BlockSize: -1}},
+		{"negative history window", Config{Perf: testPerf(t), Scheduler: core.NewOracle(), HistoryWindow: -1}},
+		{"negative capacity override", Config{Perf: testPerf(t), Scheduler: core.NewOracle(), CapacityOverride: -1}},
+	} {
+		if _, err := New(tc.cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 	if _, err := New(Config{Perf: testPerf(t), Strategy: StaticBatch}); err != nil {
 		t.Fatalf("static batch without scheduler rejected: %v", err)

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"fmt"
+	"math"
+
 	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/request"
 	"github.com/lightllm-go/lightllm/internal/rng"
@@ -10,7 +13,7 @@ import (
 // Poisson process of the given rate (requests per second), starting at
 // startTime. Open-loop load generation.
 func AssignPoissonArrivals(reqs []*request.Request, r *rng.RNG, ratePerSec, startTime float64) {
-	if ratePerSec <= 0 {
+	if !(ratePerSec > 0) { // NaN fails every comparison
 		panic("workload: non-positive arrival rate")
 	}
 	t := startTime
@@ -64,7 +67,7 @@ func AssignPhasedArrivals(reqs []*request.Request, r *rng.RNG, phases []RatePhas
 			i++
 			phaseEnd += phases[i].Duration
 		}
-		if phases[i].Rate <= 0 {
+		if !(phases[i].Rate > 0) { // NaN fails every comparison
 			panic("workload: non-positive arrival rate")
 		}
 		t += r.Exp(1 / phases[i].Rate)
@@ -74,10 +77,14 @@ func AssignPhasedArrivals(reqs []*request.Request, r *rng.RNG, phases []RatePhas
 }
 
 // PhasedCount returns how many requests a phased process expects
-// (Σ rate×duration), the natural population size for Build.
+// (Σ rate×duration), the natural population size for Build. It panics on
+// a negative, NaN or infinite rate or duration, which has no count.
 func PhasedCount(phases []RatePhase) int {
 	n := 0.0
 	for _, ph := range phases {
+		if !(ph.Rate >= 0 && ph.Duration >= 0) || math.IsInf(ph.Rate, 1) || math.IsInf(ph.Duration, 1) {
+			panic(fmt.Sprintf("workload: phase rate %v × duration %v has no request count", ph.Rate, ph.Duration))
+		}
 		n += ph.Rate * ph.Duration
 	}
 	return int(n)

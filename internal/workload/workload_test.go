@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"github.com/lightllm-go/lightllm/internal/core"
@@ -143,13 +144,36 @@ func TestPoissonArrivalsIncreaseMonotonically(t *testing.T) {
 	}
 }
 
-func TestPoissonRejectsBadRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero rate did not panic")
-		}
-	}()
-	AssignPoissonArrivals(nil, rng.New(1), 0, 0)
+// TestArrivalsRejectBadRates: a rate with no arrival process or request
+// count panics at the call instead of yielding NaN arrival times or a
+// count Build cannot allocate. NaN fails every comparison, so a guard
+// written as `rate <= 0` lets it through.
+func TestArrivalsRejectBadRates(t *testing.T) {
+	nan := math.NaN()
+	reqs := Build(ShareGPT, rng.New(1), 3, 1, 64)
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"poisson zero", func() { AssignPoissonArrivals(reqs, rng.New(1), 0, 0) }},
+		{"poisson NaN", func() { AssignPoissonArrivals(reqs, rng.New(1), nan, 0) }},
+		{"phased NaN", func() { AssignPhasedArrivals(reqs, rng.New(1), []RatePhase{{Rate: nan, Duration: 10}}, 0) }},
+		{"count NaN rate", func() { PhasedCount([]RatePhase{{Rate: nan, Duration: 10}}) }},
+		{"count negative rate", func() { PhasedCount([]RatePhase{{Rate: 5, Duration: 10}, {Rate: -1, Duration: 10}}) }},
+		{"count infinite duration", func() { PhasedCount([]RatePhase{{Rate: 0, Duration: math.Inf(1)}}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			tc.call()
+		}()
+	}
+	if n := PhasedCount([]RatePhase{{Rate: 0, Duration: 10}, {Rate: 2, Duration: 10}}); n != 20 {
+		t.Fatalf("PhasedCount = %d, want 20", n)
+	}
 }
 
 func TestTraceStableVsDrifting(t *testing.T) {

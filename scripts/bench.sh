@@ -12,18 +12,9 @@
 # cluster-front admission deadline heap, the MaxPrefillTokens trim, the
 # prefix-cache longest-match lookup (BenchmarkPrefixMatch, 0 allocs steady
 # state), and the SLO-aware chunk sizer (BenchmarkChunkSchedule, 0 allocs —
-# it runs inside every chunked iteration). The fleet suite runs the
-# cmd/fleetsim scenario family on one bursty ramp: reactive vs predictive
-# autoscaling, disaggregated prefill/decode, the 2× overload-ramp admission
-# comparison (shed on/off), the heterogeneous mixed-GPU fleet (cost-aware
-# planner vs the premium flavor alone, compared on CostSeconds), the
-# crash-storm fault trio (no faults / no recovery / full recovery, compared
-# on SLA-met completions and served p99 TTFT), the multi-turn prefix-share
-# sweep (cache-affinity vs cache-blind routing at equal provisioned
-# capacity, compared on hit rate, served p99 TTFT, and prefill tokens
-# computed), and the long-context chunked-prefill sweep (unchunked vs greedy
-# fixed-chunk vs SLO-aware chunk scheduling at fixed capacity, compared on
-# short-request served p99 TTFT and long-prompt attainment).
+# it runs inside every chunked iteration). The fleet suite runs the standard
+# cmd/fleetsim scenario set (the scenario table in cmd/fleetsim/scenarios.go)
+# and exits non-zero unless every scenario reproduces its documented claim.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -65,64 +56,23 @@ run_micro() {
 }
 
 run_fleet() {
-	# Fleet-scale SLA demos on the bursty ramp workload: reactive vs
-	# predictive (Holt) autoscaling, the disaggregated prefill/decode
-	# cluster with its dual-pool planner, the 2× overload ramp served three
-	# ways (route-on-arrival, admission hold, deadline-aware shedding), the
-	# heterogeneous mixed-GPU fleet judged on normalized CostSeconds, the
-	# mid-burst crash-storm trio (no faults / no recovery / recovery
-	# with retries, re-admission, and N+1 spares), the multi-turn
-	# prefix-share sweep (cache-affinity vs cache-blind routing on a fixed
-	# caching fleet, judged on hit rate, served p99 TTFT, and prefill
-	# tokens computed), and the long-context chunked-prefill sweep
-	# (long-prompt share × chunk policy {none, greedy, slo} at fixed
-	# capacity, judged on short-request served p99 TTFT and long-prompt
-	# attainment — the head-of-line-blocking acceptance axis).
-	go run ./cmd/fleetsim -disagg -compare -overload -hetero -faults -multiturn -longctx -json BENCH_fleet.json
-
-	# Fail loudly if the comparison did not refresh the record: a stale
-	# BENCH_fleet.json would silently misreport the fleet trajectory.
-	grep -q '"mode": "disaggregated-holt"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no disaggregated mode recorded" >&2
-		exit 1
-	}
-	grep -q '"mode": "overload-shed"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no overload shedding mode recorded" >&2
-		exit 1
-	}
-	grep -q '"mode": "hetero-cost"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no heterogeneous cost-aware mode recorded" >&2
-		exit 1
-	}
-	grep -q '"mode": "faults-recover"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no fault-recovery mode recorded" >&2
-		exit 1
-	}
-	grep -q '"mode": "multiturn-0.75-affinity"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no multi-turn prefix-caching sweep recorded" >&2
-		exit 1
-	}
-	grep -q '"prefill_savings_vs_blind"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no cache-blind baseline for the prefix sweep" >&2
-		exit 1
-	}
-	grep -q '"chunk_policy": "slo"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no SLO-aware chunked-prefill arm recorded" >&2
-		exit 1
-	}
-	grep -q '"chunk_policy": "none"' BENCH_fleet.json || {
-		echo "BENCH_fleet.json is stale: no unchunked baseline for the long-context sweep" >&2
-		exit 1
-	}
+	# The standard scenario set on the bursty ramp and its siblings:
+	# reactive vs predictive autoscaling, the disaggregated cluster, the 2×
+	# overload trio, the heterogeneous fleet, the crash-storm trio, the
+	# multi-turn prefix-share sweep and the long-context chunking sweep.
+	# Every row comes from the scenario table, and fleetsim exits non-zero
+	# when a scenario's claim (e.g. "recover beats norecover on SLA-met
+	# completions and served p99 TTFT") does not hold.
+	go run ./cmd/fleetsim -json BENCH_fleet.json
 
 	# Trace parity: the observability layer must be a strict observer. Run
 	# the fault-storm trio once recorder-disabled and once with every
 	# export armed — the reports (and stdout) must be byte-identical, or a
 	# trace-enabled run is no longer measuring the system it claims to.
 	obsdir=$(mktemp -d)
-	go run ./cmd/fleetsim -faults -json "$obsdir/off.json" |
+	go run ./cmd/fleetsim -scenario faults -json "$obsdir/off.json" |
 		grep -v '^wrote ' > "$obsdir/off.out"
-	go run ./cmd/fleetsim -faults -json "$obsdir/on.json" \
+	go run ./cmd/fleetsim -scenario faults -json "$obsdir/on.json" \
 		-trace "$obsdir/trace.json" -spans "$obsdir/spans.csv" \
 		-timeseries "$obsdir/ts.csv" -requests "$obsdir/reqs.csv" |
 		grep -v '^wrote ' > "$obsdir/on.out"
@@ -143,7 +93,7 @@ run_scale() {
 	# byte-identical, so a BENCH_scale.json that exists at all certifies
 	# the replay is deterministic at this scale. Tune with e.g.
 	# `SCALE_REQUESTS=10000000 scripts/bench.sh scale` for the full 10M day.
-	go run ./cmd/fleetsim -scale \
+	go run ./cmd/fleetsim -scenario scale \
 		-scale-requests "${SCALE_REQUESTS:-1000000}" \
 		-scale-repeat "${SCALE_REPEAT:-2}" \
 		-json BENCH_scale.json
