@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck bench bench-fleet bench-scale chaos cover ci
+.PHONY: build test vet fmt-check staticcheck layering bench bench-fleet bench-scale chaos cover ci
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,15 @@ fmt-check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt required for:"; echo "$$unformatted"; exit 1; \
+	fi
+
+# layering fails if internal/engine depends on internal/obs: the engine
+# reports only through its hooks, and obs.Collector.Attach subscribes to
+# them from the outside.
+layering:
+	@deps=$$($(GO) list -deps ./internal/engine) || exit 1; \
+	if echo "$$deps" | grep -qx 'github.com/lightllm-go/lightllm/internal/obs'; then \
+		echo "internal/engine must not depend on internal/obs"; exit 1; \
 	fi
 
 # bench runs the scheduler hot-path micro-benchmarks and records ns/op and
@@ -71,4 +80,4 @@ chaos:
 		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence|TestFaultStormReplayChaos' \
 		./internal/cluster/ ./internal/kv/ ./internal/engine/
 
-ci: build vet fmt-check staticcheck test chaos
+ci: build vet fmt-check staticcheck layering test chaos

@@ -91,14 +91,16 @@ func longctxTraffic(c config, share float64) []*request.Request {
 // and attainment for chat, deadline attainment over all arrivals for the
 // long-document class.
 func longctx(c config, share float64, chunk engine.ChunkConfig) row {
-	f := cluster.MustNew(cluster.Config{
-		Replicas: pastFuture(c.replicas, c.seed, engine.Config{
-			Perf:             perfModel(hw.A100_80G),
-			CapacityOverride: lcCapacity,
-			MaxPrefillTokens: 4 * lcChunk,
-			Chunked:          chunk,
-		}),
-		Policy:   policy,
+	f := cluster.MustNewCluster(cluster.ClusterConfig{
+		Pools: []cluster.Config{{
+			Replicas: pastFuture(c.replicas, c.seed, engine.Config{
+				Perf:             perfModel(hw.A100_80G),
+				CapacityOverride: lcCapacity,
+				MaxPrefillTokens: 4 * lcChunk,
+				Chunked:          chunk,
+			}),
+			Policy: policy,
+		}},
 		Recorder: c.rec,
 	})
 	reqs := longctxTraffic(c, share)

@@ -58,7 +58,7 @@ type config struct {
 
 	// rec is the observability recorder an arm attaches (nil for an
 	// untraced arm — the zero-cost default).
-	rec obs.Recorder
+	rec *obs.Collector
 }
 
 func main() {

@@ -70,17 +70,19 @@ func sessionTraffic(c config, share float64) []*request.Request {
 // capacity, so an autoscaler must not paper over blind routing's extra
 // prefill by scaling out. weight is the only difference between the arms.
 func multiturn(c config, share, weight float64) row {
-	f := cluster.MustNew(cluster.Config{
-		Replicas: pastFuture(c.replicas, c.seed, engine.Config{
-			Perf:             perfModel(hw.A100_80G),
-			CapacityOverride: mtCapacity,
-			PrefixCache: engine.PrefixCacheConfig{
-				Enabled: true, BlockTokens: 64, OffloadCapacityTokens: -1,
-			},
-		}),
-		Policy:         policy,
-		AffinityWeight: weight,
-		Recorder:       c.rec,
+	f := cluster.MustNewCluster(cluster.ClusterConfig{
+		Pools: []cluster.Config{{
+			Replicas: pastFuture(c.replicas, c.seed, engine.Config{
+				Perf:             perfModel(hw.A100_80G),
+				CapacityOverride: mtCapacity,
+				PrefixCache: engine.PrefixCacheConfig{
+					Enabled: true, BlockTokens: 64, OffloadCapacityTokens: -1,
+				},
+			}),
+			Policy:         policy,
+			AffinityWeight: weight,
+		}},
+		Recorder: c.rec,
 	})
 	r, _, results := serve(f, sessionTraffic(c, share))
 	r.PrefixShare = share

@@ -256,28 +256,33 @@ func a100Fleet(c config) []*engine.Engine {
 }
 
 func reactive(c config) row {
-	f := cluster.MustNew(cluster.Config{
-		Replicas: a100Fleet(c), Policy: policy, Recorder: c.rec,
-		Scale: &cluster.AutoScale{
-			Min: 1, Max: c.replicas, HighWater: 0.85, LowWater: 0.35,
-			ActivationDelay: delay, EvalInterval: interval,
-		},
+	f := cluster.MustNewCluster(cluster.ClusterConfig{
+		Pools: []cluster.Config{{
+			Replicas: a100Fleet(c), Policy: policy,
+			Scale: &cluster.AutoScale{
+				Min: 1, Max: c.replicas, HighWater: 0.85, LowWater: 0.35,
+				ActivationDelay: delay, EvalInterval: interval,
+			},
+		}},
+		Recorder: c.rec,
 	})
 	r, _, _ := serve(f, burstyWorkload(c, burstRate))
 	return r
 }
 
-func predictiveFleet(c config) *cluster.Fleet {
-	return cluster.MustNew(cluster.Config{
-		Replicas: a100Fleet(c), Policy: policy, Recorder: c.rec,
-		Planner: planner(c.replicas, headroom),
+func predictiveFleet(c config) *cluster.Cluster {
+	return cluster.MustNewCluster(cluster.ClusterConfig{
+		Pools: []cluster.Config{{
+			Replicas: a100Fleet(c), Policy: policy, Planner: planner(c.replicas, headroom),
+		}},
+		Recorder: c.rec,
 	})
 }
 
 func predictive(c config) row {
 	f := predictiveFleet(c)
 	r, _, _ := serve(f, burstyWorkload(c, burstRate))
-	r.plan = f.PlanHistory()
+	r.plan = f.Pool(0).PlanHistory()
 	return r
 }
 
@@ -293,9 +298,12 @@ func heteroCost(c config) row {
 		engine.Config{Perf: perfModel(hw.RTX4090), CapacityOverride: capacity})...)
 	plan := planner(len(engines), headroom)
 	plan.SpeedAware = true
-	f := cluster.MustNew(cluster.Config{Replicas: engines, Policy: policy, Planner: plan, Recorder: c.rec})
+	f := cluster.MustNewCluster(cluster.ClusterConfig{
+		Pools:    []cluster.Config{{Replicas: engines, Policy: policy, Planner: plan}},
+		Recorder: c.rec,
+	})
 	r, _, _ := serve(f, burstyWorkload(c, burstRate))
-	r.Flavors, r.plan = flavorMix(f), f.PlanHistory()
+	r.Flavors, r.plan = flavorMix(f.Pool(0)), f.Pool(0).PlanHistory()
 	return r
 }
 
@@ -304,13 +312,13 @@ func heteroCost(c config) row {
 func heteroPremium(c config) row {
 	f := predictiveFleet(c)
 	r, _, _ := serve(f, burstyWorkload(c, burstRate))
-	r.Flavors = flavorMix(f)
+	r.Flavors = flavorMix(f.Pool(0))
 	return r
 }
 
-func flavorMix(f *cluster.Fleet) string {
+func flavorMix(p *cluster.Pool) string {
 	var parts []string
-	for _, fi := range f.Flavors() {
+	for _, fi := range p.Flavors() {
 		parts = append(parts, fmt.Sprintf("%d×%s", fi.Replicas, fi.Name))
 	}
 	return strings.Join(parts, " + ")

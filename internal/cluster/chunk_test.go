@@ -49,9 +49,9 @@ func chunkedPrefillReplicas(n, capacity int, chunk engine.ChunkConfig) []*engine
 // traffic with the given chunking configuration on the prefill pool. The
 // zero-value ChunkConfig arm is the pre-chunking reference shape: same
 // pools, same admission, same per-iteration prefill budget.
-func runChunkPin(seed uint64, chunk engine.ChunkConfig, flt *FaultConfig, rec ...obs.Recorder) decisionTrace {
+func runChunkPin(seed uint64, chunk engine.ChunkConfig, flt *FaultConfig, rec ...*obs.Collector) decisionTrace {
 	var tr decisionTrace
-	var recorder obs.Recorder
+	var recorder *obs.Collector
 	if len(rec) > 0 {
 		recorder = rec[0]
 	}

@@ -99,12 +99,13 @@ type ClusterConfig struct {
 	Faults *FaultConfig
 	// Recorder, when non-nil, receives the full request-lifecycle event
 	// stream (internal/obs): arrivals, admission holds/releases/sheds,
-	// placements, engine iterations, KV-transfer bookings and deliveries,
-	// faults, planner decisions. A strict observer — it is sampled at
-	// execution points the simulator already visits and never pushes heap
-	// events — so recorded runs make bit-identical decisions to unrecorded
-	// ones. nil disables every emission site at zero cost.
-	Recorder obs.Recorder
+	// placements, KV-transfer bookings and deliveries, faults and planner
+	// decisions from the cluster, and every replica engine's events through
+	// the engine hooks (Collector.Attach). A strict observer — it is
+	// sampled at execution points the simulator already visits and never
+	// pushes heap events — so recorded runs make bit-identical decisions
+	// to unrecorded ones. nil disables every emission site at zero cost.
+	Recorder *obs.Collector
 }
 
 // Cluster composes role-aware pools behind one event min-heap — the single
@@ -130,7 +131,7 @@ type Cluster struct {
 	adm *admission
 	flt *faultState
 
-	rec obs.Recorder
+	rec *obs.Collector
 	// lastBook captures the most recent link booking (wire start after lane
 	// queueing, completion) between ScheduleTo and the XferBook emission —
 	// the kv package reports timing through Link.OnSchedule without knowing
@@ -167,12 +168,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %d pools; want one mixed or prefill+decode", len(cfg.Pools))
 	}
 	for i, pc := range cfg.Pools {
-		if pc.Admission != nil {
-			return nil, fmt.Errorf("cluster: pool %d carries an AdmissionConfig; admission is cluster-wide, set ClusterConfig.Admission", i)
-		}
-		if pc.Recorder != nil {
-			return nil, fmt.Errorf("cluster: pool %d carries a Recorder; observability is cluster-wide, set ClusterConfig.Recorder", i)
-		}
 		p, err := newPool(c, i, pc)
 		if err != nil {
 			return nil, err
@@ -214,7 +209,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.rec = cfg.Recorder
 		for _, p := range c.pools {
 			for _, rep := range p.reps {
-				rep.eng.SetRecorder(c.rec, p.id, rep.idx)
+				c.rec.Attach(rep.eng, p.id, rep.idx)
 			}
 		}
 		if c.link != nil {

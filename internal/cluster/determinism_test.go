@@ -79,26 +79,28 @@ func TestFaultStormReplayChaos(t *testing.T) {
 // scenario does not cover.
 func heteroOverloadTrace(seed uint64) decisionTrace {
 	var tr decisionTrace
-	f := MustNew(Config{
-		Replicas: mixedReplicas(perfFor(hw.A100_80G), 2, perfFor(hw.A30), 2, 6_000, seed),
-		Policy:   FutureHeadroom,
-		Planner: &PlannerConfig{
-			SLA: metrics.SLA{TTFT: 4, MTPOT: 1.0}, Min: 1, Max: 4,
-			Interval: 5, Predictor: HoltPredictor, ActivationDelay: 1,
-		},
+	c := MustNewCluster(ClusterConfig{
+		Pools: []Config{{
+			Replicas: mixedReplicas(perfFor(hw.A100_80G), 2, perfFor(hw.A30), 2, 6_000, seed),
+			Policy:   FutureHeadroom,
+			Planner: &PlannerConfig{
+				SLA: metrics.SLA{TTFT: 4, MTPOT: 1.0}, Min: 1, Max: 4,
+				Interval: 5, Predictor: HoltPredictor, ActivationDelay: 1,
+			},
+			OnRoute: func(r *request.Request, rep int) {
+				tr.routes = append(tr.routes, fmt.Sprintf("r%d req%d", rep, r.ID))
+			},
+		}},
 		Admission: &AdmissionConfig{TTFTBudget: 4, Shed: true, Slack: 0.5},
-		OnRoute: func(r *request.Request, rep int) {
-			tr.routes = append(tr.routes, fmt.Sprintf("r%d req%d", rep, r.ID))
-		},
 	})
-	results := f.Serve(poissonReqs(400, 120, seed), 1e9) // ~2x sustainable: overload
-	for _, s := range f.ShedRequests() {
+	results := c.Serve(poissonReqs(400, 120, seed), 1e9) // ~2x sustainable: overload
+	for _, s := range c.ShedRequests() {
 		tr.sheds = append(tr.sheds, fmt.Sprintf("req%d@%.9f", s.ID, s.ShedAt))
 	}
-	for _, s := range f.PlanHistory() {
+	for _, s := range c.Pool(0).PlanHistory() {
 		tr.plans = append(tr.plans, fmt.Sprintf("@%.3f target=%d active=%d targets=%v", s.At, s.Target, s.Active, s.Targets))
 	}
-	tr.report = fmt.Sprintf("%+v", f.Report(results, metrics.SLA{TTFT: 4, MTPOT: 1.0}))
+	tr.report = fmt.Sprintf("%+v", c.Report(results, metrics.SLA{TTFT: 4, MTPOT: 1.0}))
 	return tr
 }
 

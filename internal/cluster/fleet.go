@@ -15,14 +15,11 @@ type Fleet struct {
 	clu *Cluster
 }
 
-// New validates the configuration and builds a fleet. A non-nil
-// cfg.Admission puts the cluster-front admission pipeline (EDF hold +
-// deadline shedding) in front of the fleet — the monolithic API gets the
-// same overload protection as an explicit cluster, decision for decision.
+// New validates the configuration and builds a fleet. Cluster-wide
+// concerns — admission control, fault injection, the observability
+// recorder — are set on a ClusterConfig: build a one-pool Cluster for them.
 func New(cfg Config) (*Fleet, error) {
-	adm, rec := cfg.Admission, cfg.Recorder
-	cfg.Admission, cfg.Recorder = nil, nil // cluster-wide concerns: lift them out of the pool config
-	clu, err := NewCluster(ClusterConfig{Pools: []Config{cfg}, Admission: adm, Recorder: rec})
+	clu, err := NewCluster(ClusterConfig{Pools: []Config{cfg}})
 	if err != nil {
 		return nil, err
 	}
@@ -62,10 +59,7 @@ func (f *Fleet) EventsProcessed() int64 { return f.clu.EventsProcessed() }
 // Duration returns the simulated span of the served stream (after Serve).
 func (f *Fleet) Duration() float64 { return f.clu.Duration() }
 
-// ShedRequests returns every request refused by admission control, in shed
-// order (nil without cfg.Admission). Complete after Serve.
+// ShedRequests returns every request refused by admission control: always
+// nil, since a Fleet has none. It keeps Fleet reports shaped like a
+// Cluster's.
 func (f *Fleet) ShedRequests() []*request.Request { return f.clu.ShedRequests() }
-
-// HeldRequests returns the number of arrivals currently held at the fleet
-// front (0 after Serve: the run flush-sheds leftovers).
-func (f *Fleet) HeldRequests() int { return f.clu.HeldRequests() }

@@ -100,22 +100,6 @@ func TestHomogeneousReferenceRejectsMixedPool(t *testing.T) {
 	}
 }
 
-// TestPoolAdmissionRejected: pool-level AdmissionConfig inside an explicit
-// ClusterConfig is ambiguous (admission is cluster-wide) and must be
-// rejected; the field exists for the monolithic Fleet constructor.
-func TestPoolAdmissionRejected(t *testing.T) {
-	_, err := NewCluster(ClusterConfig{
-		Pools: []Config{{
-			Replicas:  replicas(1, 10_000),
-			Policy:    FutureHeadroom,
-			Admission: &AdmissionConfig{TTFTBudget: 8},
-		}},
-	})
-	if err == nil {
-		t.Fatal("pool-level AdmissionConfig accepted inside ClusterConfig")
-	}
-}
-
 // TestCostSecondsAccounting: without autoscaling every replica is active
 // for the whole run, so CostSeconds is the run duration times the summed
 // flavor weights — and the all-baseline fleet's CostSeconds equals its
@@ -349,8 +333,8 @@ func compareTraces(t *testing.T, label string, got, want decisionTrace) {
 	}
 }
 
-func runSeamScenario(seed uint64, homogeneous bool, flt *FaultConfig, rec ...obs.Recorder) decisionTrace {
-	var recorder obs.Recorder
+func runSeamScenario(seed uint64, homogeneous bool, flt *FaultConfig, rec ...*obs.Collector) decisionTrace {
+	var recorder *obs.Collector
 	if len(rec) > 0 {
 		recorder = rec[0]
 	}
@@ -431,60 +415,5 @@ func TestSingleFlavorMatchesHomogeneous(t *testing.T) {
 				t.Fatalf("reports differ:\nflavored:  %s\nreference: %s", flavored.report, reference.report)
 			}
 		})
-	}
-}
-
-// TestFleetAdmissionMatchesCluster pins the Fleet/router admission
-// threading (ROADMAP open item): a monolithic Fleet with shedding must
-// refuse exactly the same arrivals, and route the survivors identically,
-// as the equivalent explicit one-pool Cluster.
-func TestFleetAdmissionMatchesCluster(t *testing.T) {
-	adm := func() *AdmissionConfig {
-		return &AdmissionConfig{TTFTBudget: 4, Shed: true, Slack: 0.5, MaxProbe: 0.9}
-	}
-	type trace struct {
-		routes []string
-		sheds  []string
-	}
-	run := func(fleet bool, seed uint64) trace {
-		var tr trace
-		cfg := Config{
-			Replicas: replicas(2, 8_000),
-			Policy:   FutureHeadroom,
-			OnRoute: func(r *request.Request, rep int) {
-				tr.routes = append(tr.routes, fmt.Sprintf("r%d req%d", rep, r.ID))
-			},
-		}
-		reqs := poissonReqs(300, 60, seed)
-		var shed []*request.Request
-		if fleet {
-			cfg.Admission = adm()
-			f := MustNew(cfg)
-			f.Serve(reqs, 1e9)
-			shed = f.ShedRequests()
-			if f.HeldRequests() != 0 {
-				t.Fatal("fleet left requests held after Serve")
-			}
-		} else {
-			c := MustNewCluster(ClusterConfig{Pools: []Config{cfg}, Admission: adm()})
-			c.Serve(reqs, 1e9)
-			shed = c.ShedRequests()
-		}
-		for _, s := range shed {
-			tr.sheds = append(tr.sheds, fmt.Sprintf("req%d@%.9f", s.ID, s.ShedAt))
-		}
-		return tr
-	}
-	for seed := uint64(1); seed <= 3; seed++ {
-		fl, cl := run(true, seed), run(false, seed)
-		if len(fl.sheds) == 0 {
-			t.Fatalf("seed %d: fleet shed nothing; no admission pressure", seed)
-		}
-		if fmt.Sprint(fl.sheds) != fmt.Sprint(cl.sheds) {
-			t.Fatalf("seed %d: shed sets differ:\nfleet:   %v\ncluster: %v", seed, fl.sheds, cl.sheds)
-		}
-		if fmt.Sprint(fl.routes) != fmt.Sprint(cl.routes) {
-			t.Fatalf("seed %d: routing differs", seed)
-		}
 	}
 }

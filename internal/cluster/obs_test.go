@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
@@ -260,29 +261,64 @@ func TestDynamicSlackValidation(t *testing.T) {
 	}
 }
 
-// TestPoolLevelRecorderRejected mirrors the pool-level Admission rejection:
-// observability is cluster-wide.
-func TestPoolLevelRecorderRejected(t *testing.T) {
-	_, err := NewCluster(ClusterConfig{
-		Pools: []Config{{Replicas: replicas(1, 10_000), Policy: FutureHeadroom, Recorder: obs.NewCollector(1)}},
-	})
-	if err == nil {
-		t.Fatal("pool-level Recorder accepted")
-	}
-}
-
-// TestFleetRecorderLift: the monolithic Fleet lifts a pool-config Recorder
-// into the cluster the same way it lifts Admission, and the recorded spans
-// decompose exactly.
-func TestFleetRecorderLift(t *testing.T) {
+// TestOnePoolClusterRecorder: a one-pool cluster's Recorder reaches every
+// replica engine through the engine hooks, and the recorded spans decompose
+// exactly.
+func TestOnePoolClusterRecorder(t *testing.T) {
 	col := obs.NewCollector(1)
-	f := MustNew(Config{Replicas: replicas(2, 20_000), Policy: FutureHeadroom, Recorder: col})
+	c := MustNewCluster(ClusterConfig{
+		Pools:    []Config{{Replicas: replicas(2, 20_000), Policy: FutureHeadroom}},
+		Recorder: col,
+	})
 	reqs := poissonReqs(50, 20, 5)
-	f.Serve(reqs, 1e9)
+	c.Serve(reqs, 1e9)
 	if len(col.Spans()) != len(reqs) {
 		t.Fatalf("recorded %d spans for %d requests", len(col.Spans()), len(reqs))
 	}
 	if err := col.CheckDecomposition(1e-9); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaticBatchSpansClose: static-batch engines emit tokens and finishes
+// through the same hooks as continuous batching, so the Collector records
+// every served request's first token and finish and closes its span.
+func TestStaticBatchSpansClose(t *testing.T) {
+	pm := testPerf()
+	engines := make([]*engine.Engine, 2)
+	for i := range engines {
+		engines[i] = engine.MustNew(engine.Config{Perf: pm, Strategy: engine.StaticBatch, CapacityOverride: 20_000})
+	}
+	col := obs.NewCollector(1)
+	c := MustNewCluster(ClusterConfig{
+		Pools:    []Config{{Replicas: engines, Policy: RoundRobin}},
+		Recorder: col,
+	})
+	finished := 0
+	for _, res := range c.Serve(poissonReqs(40, 2, 1), 1e9) {
+		finished += len(res.Finished)
+	}
+	if finished == 0 {
+		t.Fatal("static batch finished nothing")
+	}
+	firsts, finishes := 0, 0
+	for _, r := range col.Rows() {
+		firsts += r.FirstTokens
+		finishes += r.Finishes
+	}
+	open := 0
+	for _, s := range col.Spans() {
+		if s.R.Outcome != request.OutcomeCompleted {
+			continue
+		}
+		if s.TTFTAt < 0 {
+			open++
+		}
+	}
+	if firsts != finished || finishes != finished || open != 0 {
+		t.Fatalf("%d finished: recorded %d first tokens, %d finishes, %d open spans", finished, firsts, finishes, open)
+	}
+	if err := col.CheckDecomposition(1e-6); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"github.com/lightllm-go/lightllm/internal/core"
 	"github.com/lightllm-go/lightllm/internal/dist"
 	"github.com/lightllm-go/lightllm/internal/engine"
-	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/perf"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
@@ -38,16 +37,6 @@ func (p Policy) String() string {
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
-}
-
-// ParsePolicy resolves a policy name (CLI flags), inverse of String.
-func ParsePolicy(s string) (Policy, error) {
-	for _, p := range []Policy{RoundRobin, LeastLoaded, FutureHeadroom} {
-		if s == p.String() {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: unknown policy %q (round-robin, least-loaded, future-headroom)", s)
 }
 
 // AutoScale is the threshold-reactive scaling policy: scale out when the
@@ -108,18 +97,6 @@ type Config struct {
 	// caching off every replica matches zero tokens, so routing is
 	// bit-identical to the cache-blind policy either way.
 	AffinityWeight float64
-	// Admission enables cluster-front admission control when this Config
-	// builds the monolithic Fleet (cluster.New) or the router adapter — the
-	// same pipeline ClusterConfig.Admission gives an explicit cluster.
-	// Inside an explicit ClusterConfig the pipeline is cluster-wide, so
-	// pool-level Admission must be nil there (NewCluster rejects it).
-	Admission *AdmissionConfig
-	// Recorder attaches the observability layer when this Config builds the
-	// monolithic Fleet (cluster.New) — the same stream
-	// ClusterConfig.Recorder gives an explicit cluster. Like Admission it is
-	// a cluster-wide concern: inside an explicit ClusterConfig a pool-level
-	// Recorder is rejected.
-	Recorder obs.Recorder
 	// OnRoute, when non-nil, observes every routing decision into this pool
 	// (pool-local replica index).
 	OnRoute func(r *request.Request, replica int)

@@ -138,15 +138,13 @@ func TestHeadroomBeatsRoundRobinOnSkewedLoad(t *testing.T) {
 	}
 }
 
-// TestFleetAdmissionSheds pins the monolithic fleet's admission threading:
-// a Fleet built with an AdmissionConfig runs the cluster-front pipeline —
-// an overloaded stream sheds terminally, every arrival ends exactly once in
+// TestFleetAdmissionSheds pins admission on a monolithic fleet: a one-pool
+// cluster with an AdmissionConfig runs the cluster-front pipeline — an
+// overloaded stream sheds terminally, every arrival ends exactly once in
 // {completed, shed}, and nothing stays held after Serve.
 func TestFleetAdmissionSheds(t *testing.T) {
-	reps := replicas(2, 8_000)
-	f := MustNew(Config{
-		Replicas:  reps,
-		Policy:    FutureHeadroom,
+	f := MustNewCluster(ClusterConfig{
+		Pools:     []Config{{Replicas: replicas(2, 8_000), Policy: FutureHeadroom}},
 		Admission: &AdmissionConfig{TTFTBudget: 4, Shed: true, Slack: 0.5, MaxProbe: 0.9},
 	})
 	const n = 300

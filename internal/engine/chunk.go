@@ -21,14 +21,6 @@ import (
 // reference for decision-equivalence tests, mirroring NaivePeak and the
 // cluster's naive probe.
 
-// chunkEmit is one chunk's deferred recorder emission: chunks are carved
-// before the iteration's duration is known, but observed at its end.
-type chunkEmit struct {
-	r           *request.Request
-	tokens      int
-	done, total int
-}
-
 // enqueueChunked moves freshly admitted requests into the chunk pipeline.
 // Migrated, swapped, and cache-covered tokens never re-encode, so the
 // chunk cursor starts past them: a crash mid-chunk whose prefix survived
@@ -107,10 +99,10 @@ func (e *Engine) runChunked() {
 		budget -= take
 		chunkUsed += take
 		nChunks++
-		if e.rec != nil {
-			emits = append(emits, chunkEmit{
-				r: p.req, tokens: take, done: p.req.PrefillDone, total: p.req.Footprint(),
-			})
+		if e.hooks.onChunk != nil {
+			// Deferred: chunks are carved before the iteration's duration
+			// is known, but observed at its end.
+			emits = append(emits, Chunk{Req: p.req, Tokens: take})
 		}
 		if p.need == 0 {
 			p.req.ChunkedPrefill = false
@@ -149,20 +141,14 @@ func (e *Engine) runChunked() {
 			e.requeue(r) // defensive; ensureExtendable guarantees space
 			continue
 		}
-		first := r.FirstTokenAt < 0
 		r.EmitToken(e.clock)
-		if e.cfg.Hooks.OnToken != nil {
-			e.cfg.Hooks.OnToken(e.clock, r)
-		}
-		if first && e.rec != nil {
-			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
+		if e.hooks.onToken != nil {
+			e.hooks.onToken(e.clock, r)
 		}
 		e.outputTokens++
 	}
-	if e.rec != nil {
-		for _, c := range e.chunkEmitScratch {
-			e.rec.Chunk(e.clock, c.r, e.obsPool, e.obsRep, c.tokens, c.done, c.total)
-		}
+	for _, c := range e.chunkEmitScratch {
+		e.hooks.onChunk(e.clock, c)
 	}
 	if e.cfg.Role == RolePrefillOnly {
 		// Prefill-only engines emit the handoff strictly after the last

@@ -27,7 +27,6 @@ import (
 	"github.com/lightllm-go/lightllm/internal/core"
 	"github.com/lightllm-go/lightllm/internal/dist"
 	"github.com/lightllm-go/lightllm/internal/kv"
-	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/perf"
 	"github.com/lightllm-go/lightllm/internal/request"
 	"github.com/lightllm-go/lightllm/internal/stats"
@@ -73,7 +72,7 @@ const (
 	RoleMixed Role = iota
 	// RolePrefillOnly runs prompts only: a request completes at its first
 	// token (computed by the prefill pass), frees its KV allocation, and is
-	// handed off to a decode engine through the OnHandoff hook — unless the
+	// handed off to a decode engine through the handoff hook — unless the
 	// first token is also its last, in which case it finishes here.
 	RolePrefillOnly
 	// RoleDecodeOnly runs decode only: it accepts requests migrated from a
@@ -123,37 +122,44 @@ func (p EvictionPolicy) String() string {
 	}
 }
 
-// Hooks are optional observation callbacks. Nil hooks are skipped.
-type Hooks struct {
-	// OnAdmit fires after a batch of admissions, before their prefill runs.
-	// The admitted slice is a per-step scratch buffer the engine reuses:
-	// read it during the callback, copy it if it must outlive the Step.
-	OnAdmit func(now float64, admitted []*request.Request)
-	// OnToken fires for every emitted token (used by the streaming server).
-	OnToken func(now float64, r *request.Request)
-	// OnFinish fires when a request completes (closed-loop clients submit
-	// their next request from here).
-	OnFinish func(now float64, r *request.Request)
-	// OnEvict fires when a request is evicted from the running batch.
-	OnEvict func(now float64, r *request.Request)
-	// OnDrop fires when a queued request is abandoned via QueueTimeout.
-	OnDrop func(now float64, r *request.Request)
-	// OnFail fires when the engine drops a request as unservable.
-	OnFail func(now float64, r *request.Request)
-	// OnHandoff fires when a prefill-only engine completes a request's
-	// prompt and releases it for migration to a decode engine. The request's
-	// KV memory is already freed; r.PrefillDoneAt records the handoff time.
-	OnHandoff func(now float64, r *request.Request)
-	// OnIteration fires after every engine iteration.
-	OnIteration func(now float64, it Iteration)
+// hooks are the engine's observation callbacks, installed only through the
+// Add*Hook methods (which document when each fires). Nil hooks are skipped.
+type hooks struct {
+	onAdmit     func(now float64, admitted []*request.Request)
+	onToken     func(now float64, r *request.Request)
+	onFinish    func(now float64, r *request.Request)
+	onEvict     func(now float64, r *request.Request)
+	onDrop      func(now float64, r *request.Request)
+	onFail      func(now float64, r *request.Request)
+	onHandoff   func(now float64, r *request.Request)
+	onChunk     func(now float64, c Chunk)
+	onIteration func(now float64, it Iteration)
+}
+
+// chain returns a hook that runs prev (if any) and then f.
+func chain[T any](prev, f func(float64, T)) func(float64, T) {
+	if prev == nil {
+		return f
+	}
+	return func(now float64, v T) {
+		prev(now, v)
+		f(now, v)
+	}
 }
 
 // Iteration describes one executed engine iteration for observers.
 type Iteration struct {
-	Kind      string // "prefill", "decode", "mixed", "static"
+	Kind      string // "prefill", "decode", "mixed", "chunked", "static"
 	Duration  float64
 	BatchSize int
 	KVTokens  int
+}
+
+// Chunk describes one prefill chunk of Tokens prompt tokens that landed
+// for Req in a chunked iteration.
+type Chunk struct {
+	Req    *request.Request
+	Tokens int
 }
 
 // Config configures an engine.
@@ -215,8 +221,6 @@ type Config struct {
 	// Chunked configures chunked prefill. The zero value disables it,
 	// keeping the engine bit-identical to the fused-prefill code path.
 	Chunked ChunkConfig
-
-	Hooks Hooks
 }
 
 // ChunkPolicy selects how the chunked-prefill scheduler sizes each chunk.
@@ -320,7 +324,7 @@ type Engine struct {
 
 	// Chunked-prefill per-step scratch (see chunk.go).
 	finishScratch    []*request.Request // prompts whose last chunk landed
-	chunkEmitScratch []chunkEmit        // deferred recorder emissions
+	chunkEmitScratch []Chunk            // deferred chunk hook calls
 	chunkSuffix      []float64          // suffix-min pipeline deadlines
 
 	// Counters and accumulators for Result.
@@ -341,13 +345,10 @@ type Engine struct {
 	swapInTokens    int64
 	// Prefix-cache accumulators. Hit/restored tokens are prefill the engine
 	// skipped; prefillComputeTokens is what it actually encoded — the pair
-	// the benchmark's prefill-savings acceptance reads. lastCacheEvict
-	// watermarks the pool's cumulative eviction counter for per-iteration
-	// CacheEvent emission.
+	// the benchmark's prefill-savings acceptance reads.
 	cacheHitTokens       int64
 	cacheRestoredTokens  int64
 	prefillComputeTokens int64
-	lastCacheEvict       int64
 	pendingSwapIn        float64 // swap-in seconds owed by the next iteration
 	memUtil              stats.TimeWeighted
 	physUtil             stats.TimeWeighted
@@ -358,12 +359,7 @@ type Engine struct {
 	admitRetries         int
 	released             bool // a request left the engine during the last Step
 
-	// rec is the optional lifecycle recorder; obsPool/obsRep identify this
-	// engine in the cluster when emitting. nil disables every emission site
-	// (the guards keep the hot path allocation-free and bit-identical).
-	rec     obs.Recorder
-	obsPool int
-	obsRep  int
+	hooks hooks
 
 	// slow is the transient service-time multiplier for fault-injected
 	// degradation (thermal throttling, noisy neighbors): every iteration
@@ -615,105 +611,73 @@ func (e *Engine) ForEachQueued(f func(*request.Request)) {
 // chunk-prefilled under splitfuse).
 func (e *Engine) RunningLen() int { return len(e.running) + len(e.prefilling) }
 
-// AddFinishHook chains f after any existing OnFinish hook. Closed-loop
-// clients use this to submit their next request on completion.
-func (e *Engine) AddFinishHook(f func(now float64, r *request.Request)) {
-	prev := e.cfg.Hooks.OnFinish
-	e.cfg.Hooks.OnFinish = func(now float64, r *request.Request) {
-		if prev != nil {
-			prev(now, r)
-		}
-		f(now, r)
-	}
-}
-
-// AddTokenHook chains f after any existing OnToken hook (streaming server).
-func (e *Engine) AddTokenHook(f func(now float64, r *request.Request)) {
-	prev := e.cfg.Hooks.OnToken
-	e.cfg.Hooks.OnToken = func(now float64, r *request.Request) {
-		if prev != nil {
-			prev(now, r)
-		}
-		f(now, r)
-	}
-}
-
-// AddEvictHook chains f after any existing OnEvict hook.
-func (e *Engine) AddEvictHook(f func(now float64, r *request.Request)) {
-	prev := e.cfg.Hooks.OnEvict
-	e.cfg.Hooks.OnEvict = func(now float64, r *request.Request) {
-		if prev != nil {
-			prev(now, r)
-		}
-		f(now, r)
-	}
-}
-
-// AddDropHook chains f after any existing OnDrop hook.
-func (e *Engine) AddDropHook(f func(now float64, r *request.Request)) {
-	prev := e.cfg.Hooks.OnDrop
-	e.cfg.Hooks.OnDrop = func(now float64, r *request.Request) {
-		if prev != nil {
-			prev(now, r)
-		}
-		f(now, r)
-	}
-}
-
-// AddHandoffHook chains f after any existing OnHandoff hook. The cluster's
-// transfer link schedules the KV migration from here.
-func (e *Engine) AddHandoffHook(f func(now float64, r *request.Request)) {
-	prev := e.cfg.Hooks.OnHandoff
-	e.cfg.Hooks.OnHandoff = func(now float64, r *request.Request) {
-		if prev != nil {
-			prev(now, r)
-		}
-		f(now, r)
-	}
-}
-
-// AddFailHook chains f after any existing OnFail hook.
-func (e *Engine) AddFailHook(f func(now float64, r *request.Request)) {
-	prev := e.cfg.Hooks.OnFail
-	e.cfg.Hooks.OnFail = func(now float64, r *request.Request) {
-		if prev != nil {
-			prev(now, r)
-		}
-		f(now, r)
-	}
-}
-
-// AddAdmitHook chains f after any existing OnAdmit hook. The cluster's
-// dynamic admission slack observes the engine-side wait from here.
+// AddAdmitHook chains f after the existing admit hooks. It fires after a
+// batch of admissions, before their prefill runs. The admitted slice is a
+// per-step scratch buffer the engine reuses: read it during the callback,
+// copy it if it must outlive the Step.
 func (e *Engine) AddAdmitHook(f func(now float64, admitted []*request.Request)) {
-	prev := e.cfg.Hooks.OnAdmit
-	e.cfg.Hooks.OnAdmit = func(now float64, admitted []*request.Request) {
-		if prev != nil {
-			prev(now, admitted)
-		}
-		f(now, admitted)
-	}
+	e.hooks.onAdmit = chain(e.hooks.onAdmit, f)
 }
 
-// SetRecorder attaches a lifecycle recorder and this engine's cluster
-// identity (pool id, replica index). A nil recorder disables emission; the
-// cluster layer calls this once at construction, before any Step.
-func (e *Engine) SetRecorder(rec obs.Recorder, pool, rep int) {
-	e.rec = rec
-	e.obsPool = pool
-	e.obsRep = rep
+// AddTokenHook chains f after the existing token hooks. It fires for every
+// emitted token, after r.EmitToken (so r.Generated == 1 marks the first).
+func (e *Engine) AddTokenHook(f func(now float64, r *request.Request)) {
+	e.hooks.onToken = chain(e.hooks.onToken, f)
 }
 
-// failRequest records a request as unservable and fires OnFail.
+// AddFinishHook chains f after the existing finish hooks. It fires when a
+// request completes; closed-loop clients submit their next request here.
+func (e *Engine) AddFinishHook(f func(now float64, r *request.Request)) {
+	e.hooks.onFinish = chain(e.hooks.onFinish, f)
+}
+
+// AddEvictHook chains f after the existing evict hooks. It fires when a
+// request is pushed from the running batch back to the queue.
+func (e *Engine) AddEvictHook(f func(now float64, r *request.Request)) {
+	e.hooks.onEvict = chain(e.hooks.onEvict, f)
+}
+
+// AddDropHook chains f after the existing drop hooks. It fires when a
+// queued request is abandoned via QueueTimeout.
+func (e *Engine) AddDropHook(f func(now float64, r *request.Request)) {
+	e.hooks.onDrop = chain(e.hooks.onDrop, f)
+}
+
+// AddFailHook chains f after the existing fail hooks. It fires when the
+// engine drops a request as unservable.
+func (e *Engine) AddFailHook(f func(now float64, r *request.Request)) {
+	e.hooks.onFail = chain(e.hooks.onFail, f)
+}
+
+// AddHandoffHook chains f after the existing handoff hooks. It fires when a
+// prefill-only engine completes a request's prompt and releases it for
+// migration to a decode engine; the request's KV memory is already freed
+// and r.PrefillDoneAt records the handoff time. The cluster's transfer
+// link schedules the KV migration from here.
+func (e *Engine) AddHandoffHook(f func(now float64, r *request.Request)) {
+	e.hooks.onHandoff = chain(e.hooks.onHandoff, f)
+}
+
+// AddChunkHook chains f after the existing chunk hooks. It fires once per
+// prefill chunk at the end of the chunked iteration that landed it; never
+// when chunked prefill is disabled.
+func (e *Engine) AddChunkHook(f func(now float64, c Chunk)) {
+	e.hooks.onChunk = chain(e.hooks.onChunk, f)
+}
+
+// AddIterationHook chains f after the existing iteration hooks. It fires
+// after every engine iteration.
+func (e *Engine) AddIterationHook(f func(now float64, it Iteration)) {
+	e.hooks.onIteration = chain(e.hooks.onIteration, f)
+}
+
+// failRequest records a request as unservable and fires the fail hooks.
 func (e *Engine) failRequest(r *request.Request) {
 	r.MarkFailed()
 	e.failed = append(e.failed, r)
 	e.released = true
-	if e.cfg.Hooks.OnFail != nil {
-		e.cfg.Hooks.OnFail(e.clock, r)
-	}
-	if e.rec != nil {
-		e.rec.Fail(e.clock, r, e.obsPool, e.obsRep)
+	if e.hooks.onFail != nil {
+		e.hooks.onFail(e.clock, r)
 	}
 }
 
@@ -725,17 +689,6 @@ func (e *Engine) failRequest(r *request.Request) {
 // evicted request re-queues on the same engine, leaving the predicted peak
 // unchanged.
 func (e *Engine) ReleasedLastStep() bool { return e.released }
-
-// AddIterationHook chains f after any existing OnIteration hook.
-func (e *Engine) AddIterationHook(f func(now float64, it Iteration)) {
-	prev := e.cfg.Hooks.OnIteration
-	e.cfg.Hooks.OnIteration = func(now float64, it Iteration) {
-		if prev != nil {
-			prev(now, it)
-		}
-		f(now, it)
-	}
-}
 
 // Submit schedules a request for arrival. Arrival times before the current
 // clock are clamped to now.

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"github.com/lightllm-go/lightllm/internal/core"
-	"github.com/lightllm-go/lightllm/internal/obs"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
 
@@ -130,11 +129,8 @@ func (e *Engine) dropExpired() {
 			r.MarkDropped(e.clock)
 			e.timedOut = append(e.timedOut, r)
 			e.released = true
-			if e.cfg.Hooks.OnDrop != nil {
-				e.cfg.Hooks.OnDrop(e.clock, r)
-			}
-			if e.rec != nil {
-				e.rec.Drop(e.clock, r, e.obsPool, e.obsRep)
+			if e.hooks.onDrop != nil {
+				e.hooks.onDrop(e.clock, r)
 			}
 		},
 	)
@@ -142,7 +138,7 @@ func (e *Engine) dropExpired() {
 
 // admit asks the scheduler for a FCFS prefix, allocates prompt memory, and
 // removes the admitted requests from the queue. All slices it hands out
-// (the scheduler's view, the OnAdmit hook argument, the returned admissions)
+// (the scheduler's view, the admit hook argument, the returned admissions)
 // are per-step scratch buffers: valid until the next Step, never retained
 // by the engine, and must not be retained by hooks or schedulers. Reusing
 // them keeps a steady-state Step free of heap allocations.
@@ -212,26 +208,8 @@ func (e *Engine) admit() []*request.Request {
 		return nil
 	}
 	e.admitRetries = 0
-	if e.cfg.Hooks.OnAdmit != nil {
-		e.cfg.Hooks.OnAdmit(e.clock, admitted)
-	}
-	if e.rec != nil {
-		cached := e.pool.PrefixCacheEnabled()
-		for _, r := range admitted {
-			e.rec.Admit(e.clock, r, e.obsPool, e.obsRep)
-			if !cached || r.Migrated {
-				continue
-			}
-			if r.CachedTokens > 0 {
-				e.rec.CacheEvent(e.clock, e.obsPool, e.obsRep, obs.CacheHit, r.CachedTokens)
-			}
-			if r.RestoredTokens > 0 {
-				e.rec.CacheEvent(e.clock, e.obsPool, e.obsRep, obs.CacheRestore, r.RestoredTokens)
-			}
-			if miss := r.Footprint() - r.CachedTokens - r.RestoredTokens; miss > 0 && !r.Swapped {
-				e.rec.CacheEvent(e.clock, e.obsPool, e.obsRep, obs.CacheMiss, miss)
-			}
-		}
+	if e.hooks.onAdmit != nil {
+		e.hooks.onAdmit(e.clock, admitted)
 	}
 	// Record the ground-truth future peak of the post-admission batch
 	// (Table 1's "Future Required Memory") via the reusable estimator.
@@ -335,11 +313,8 @@ func (e *Engine) evictLast() {
 	}
 	e.evictions++
 	e.queue.PushFront(victim)
-	if e.cfg.Hooks.OnEvict != nil {
-		e.cfg.Hooks.OnEvict(e.clock, victim)
-	}
-	if e.rec != nil {
-		e.rec.Evict(e.clock, victim, e.obsPool, e.obsRep)
+	if e.hooks.onEvict != nil {
+		e.hooks.onEvict(e.clock, victim)
 	}
 }
 
@@ -398,13 +373,9 @@ func (e *Engine) runPrefill(admitted []*request.Request) {
 // migration to a decode engine.
 func (e *Engine) completePrefills(admitted []*request.Request) {
 	for _, r := range admitted {
-		first := r.FirstTokenAt < 0
 		r.EmitToken(e.clock)
-		if e.cfg.Hooks.OnToken != nil {
-			e.cfg.Hooks.OnToken(e.clock, r)
-		}
-		if first && e.rec != nil {
-			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
+		if e.hooks.onToken != nil {
+			e.hooks.onToken(e.clock, r)
 		}
 		e.outputTokens++
 		e.free(r)
@@ -413,18 +384,15 @@ func (e *Engine) completePrefills(admitted []*request.Request) {
 			r.Finish(e.clock)
 			e.recordFinishedLength(r.Class, r.TrueOutputLen)
 			e.finished = append(e.finished, r)
-			if e.cfg.Hooks.OnFinish != nil {
-				e.cfg.Hooks.OnFinish(e.clock, r)
-			}
-			if e.rec != nil {
-				e.rec.Finish(e.clock, r, e.obsPool, e.obsRep)
+			if e.hooks.onFinish != nil {
+				e.hooks.onFinish(e.clock, r)
 			}
 			continue
 		}
 		r.PrefillDoneAt = e.clock
 		e.handedOff = append(e.handedOff, r)
-		if e.cfg.Hooks.OnHandoff != nil {
-			e.cfg.Hooks.OnHandoff(e.clock, r)
+		if e.hooks.onHandoff != nil {
+			e.hooks.onHandoff(e.clock, r)
 		}
 	}
 }
@@ -446,13 +414,9 @@ func (e *Engine) runDecode() {
 			e.requeue(r)
 			continue
 		}
-		first := r.FirstTokenAt < 0
 		r.EmitToken(e.clock)
-		if e.cfg.Hooks.OnToken != nil {
-			e.cfg.Hooks.OnToken(e.clock, r)
-		}
-		if first && e.rec != nil {
-			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
+		if e.hooks.onToken != nil {
+			e.hooks.onToken(e.clock, r)
 		}
 		e.outputTokens++
 	}
@@ -516,13 +480,9 @@ func (e *Engine) runMixed() {
 			e.requeue(r) // defensive; ensureExtendable guarantees space
 			continue
 		}
-		first := r.FirstTokenAt < 0
 		r.EmitToken(e.clock)
-		if e.cfg.Hooks.OnToken != nil {
-			e.cfg.Hooks.OnToken(e.clock, r)
-		}
-		if first && e.rec != nil {
-			e.rec.FirstToken(e.clock, r, e.obsPool, e.obsRep)
+		if e.hooks.onToken != nil {
+			e.hooks.onToken(e.clock, r)
 		}
 		e.outputTokens++
 	}
@@ -549,11 +509,8 @@ func (e *Engine) requeue(r *request.Request) {
 	r.Evictions++
 	e.evictions++
 	e.queue.PushFront(r)
-	if e.cfg.Hooks.OnEvict != nil {
-		e.cfg.Hooks.OnEvict(e.clock, r)
-	}
-	if e.rec != nil {
-		e.rec.Evict(e.clock, r, e.obsPool, e.obsRep)
+	if e.hooks.onEvict != nil {
+		e.hooks.onEvict(e.clock, r)
 	}
 }
 
@@ -571,11 +528,8 @@ func (e *Engine) completeDone() {
 		r.Finish(e.clock)
 		e.recordFinishedLength(r.Class, r.TrueOutputLen)
 		e.finished = append(e.finished, r)
-		if e.cfg.Hooks.OnFinish != nil {
-			e.cfg.Hooks.OnFinish(e.clock, r)
-		}
-		if e.rec != nil {
-			e.rec.Finish(e.clock, r, e.obsPool, e.obsRep)
+		if e.hooks.onFinish != nil {
+			e.hooks.onFinish(e.clock, r)
 		}
 	}
 	e.running = kept
@@ -590,22 +544,9 @@ func (e *Engine) observe(t float64) {
 }
 
 func (e *Engine) iterationHook(kind string, dur float64, batch int) {
-	if e.cfg.Hooks.OnIteration != nil {
-		e.cfg.Hooks.OnIteration(e.clock, Iteration{
+	if e.hooks.onIteration != nil {
+		e.hooks.onIteration(e.clock, Iteration{
 			Kind: kind, Duration: dur, BatchSize: batch, KVTokens: e.pool.UsedTokens(),
 		})
-	}
-	if e.rec != nil {
-		// Cache evictions happen inside pool reclaim loops (allocation,
-		// extension); surface the step's total as one event off the pool's
-		// cumulative counter.
-		if e.pool.PrefixCacheEnabled() {
-			if d := e.pool.PrefixStats().EvictedBlocks - e.lastCacheEvict; d > 0 {
-				e.rec.CacheEvent(e.clock, e.obsPool, e.obsRep, obs.CacheEvict, int(d)*e.pool.PrefixBlockTokens())
-				e.lastCacheEvict += d
-			}
-		}
-		kvBytes := int64(e.pool.UsedTokens()) * e.KVBytesPerToken()
-		e.rec.Iteration(e.clock, e.obsPool, e.obsRep, kind, dur, batch, kvBytes, e.queue.Len())
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
 
@@ -186,9 +187,11 @@ type planPoint struct {
 	Target, Active int
 }
 
-// Collector is the concrete Recorder: it assembles the event stream into
-// per-request Spans, interval rollups, and the raw series the Perfetto
-// exporter renders. Single-threaded, like everything the event loop owns.
+// Collector assembles the lifecycle event stream into per-request Spans,
+// interval rollups, and the raw series the Perfetto exporter renders. All
+// events arrive single-threaded from the cluster event loop (or an
+// engine's step loop, through Attach) with `at` in simulated seconds; the
+// Collector never mutates a request it is handed.
 type Collector struct {
 	// Interval is the rollup bucket width in simulated seconds (0 ⇒ 1.0).
 	Interval float64
@@ -225,8 +228,6 @@ func NewCollector(interval float64) *Collector {
 	}
 }
 
-var _ Recorder = (*Collector)(nil)
-
 // keep reports whether the request's span is assembled under the sampling
 // rate.
 func (c *Collector) keep(r *request.Request) bool {
@@ -234,8 +235,8 @@ func (c *Collector) keep(r *request.Request) bool {
 }
 
 // span returns the request's span, creating one if an event arrives before
-// its Arrive (defensive: engine-only wiring). nil when sampled out: span
-// callers must tolerate it, counter paths must not depend on it.
+// its Arrive (an engine attached outside a cluster). nil when sampled out:
+// span callers must tolerate it, counter paths must not depend on it.
 func (c *Collector) span(at float64, r *request.Request) *Span {
 	if !c.keep(r) {
 		return nil
@@ -258,7 +259,8 @@ func (c *Collector) Spans() []*Span {
 	return out
 }
 
-// Arrive implements Recorder.
+// Arrive records that the request entered the cluster front. It fires
+// again if a fault recovery re-enters the request, which reopens its TTFT.
 func (c *Collector) Arrive(at float64, r *request.Request) {
 	if c.keep(r) {
 		s, ok := c.spans[r.ID]
@@ -275,7 +277,8 @@ func (c *Collector) Arrive(at float64, r *request.Request) {
 	c.front(at).Arrivals++
 }
 
-// Hold implements Recorder.
+// Hold records that admission control queued the request in the deadline
+// heap instead of placing it; held is the heap depth after the push.
 func (c *Collector) Hold(at float64, r *request.Request, held int) {
 	if s := c.span(at, r); s != nil && !s.terminal() {
 		s.advance(at)
@@ -287,7 +290,8 @@ func (c *Collector) Hold(at float64, r *request.Request, held int) {
 	row.peakHeld(held)
 }
 
-// Release implements Recorder.
+// Release records that a capacity event popped the request off the
+// admission heap; held is the heap depth after the pop.
 func (c *Collector) Release(at float64, r *request.Request, held int) {
 	if s := c.span(at, r); s != nil && !s.terminal() {
 		s.advance(at)
@@ -296,7 +300,8 @@ func (c *Collector) Release(at float64, r *request.Request, held int) {
 	c.front(at).Releases++
 }
 
-// Place implements Recorder.
+// Place records that the router bound the request to a replica (flavor
+// is the replica's hardware flavor name, "" for a flavorless pool).
 func (c *Collector) Place(at float64, r *request.Request, pool, rep int, flavor string) {
 	if s := c.span(at, r); s != nil {
 		if s.terminal() {
@@ -312,7 +317,8 @@ func (c *Collector) Place(at float64, r *request.Request, pool, rep int, flavor 
 	c.front(at).Places++
 }
 
-// Shed implements Recorder.
+// Shed records that admission control refused the request terminally.
+// where is one of ShedFront, ShedBoundary, ShedFlush.
 func (c *Collector) Shed(at float64, r *request.Request, where string) {
 	if s := c.span(at, r); s != nil {
 		s.transition(at, stDone)
@@ -328,8 +334,10 @@ func (c *Collector) Shed(at float64, r *request.Request, where string) {
 	}
 }
 
-// Admit implements Recorder.
-func (c *Collector) Admit(at float64, r *request.Request, pool, rep int) {
+// admit: an engine moved the request from its queue into the running
+// batch (first admissions close the queue stage; re-admissions of
+// already-streaming requests only update identity).
+func (c *Collector) admit(at float64, r *request.Request, pool, rep int) {
 	s := c.span(at, r)
 	if s == nil || s.terminal() {
 		return
@@ -342,8 +350,10 @@ func (c *Collector) Admit(at float64, r *request.Request, pool, rep int) {
 	}
 }
 
-// FirstToken implements Recorder.
-func (c *Collector) FirstToken(at float64, r *request.Request, pool, rep int) {
+// firstToken: the request's first output token became visible on this
+// engine (prefill completion). On a prefill-only engine the token is not
+// user-visible yet — the later XferDeliver reopens the clock.
+func (c *Collector) firstToken(at float64, r *request.Request, pool, rep int) {
 	if s := c.span(at, r); s != nil && !s.terminal() {
 		s.Pool, s.Rep = pool, rep
 		if s.TTFTAt < 0 {
@@ -356,8 +366,9 @@ func (c *Collector) FirstToken(at float64, r *request.Request, pool, rep int) {
 	c.pool(at, pool).FirstTokens++
 }
 
-// Evict implements Recorder.
-func (c *Collector) Evict(at float64, r *request.Request, pool, rep int) {
+// evict: the engine pushed the request back to its queue (memory
+// pressure or scheduler preemption).
+func (c *Collector) evict(at float64, r *request.Request, pool, rep int) {
 	if s := c.span(at, r); s != nil && !s.terminal() {
 		if s.stage != stPost {
 			// Pre-first-token eviction: back to the engine queue, still TTFT.
@@ -369,15 +380,16 @@ func (c *Collector) Evict(at float64, r *request.Request, pool, rep int) {
 	c.pool(at, pool).Evictions++
 }
 
-// Drop implements Recorder.
-func (c *Collector) Drop(at float64, r *request.Request, pool, rep int) {
+// drop: the request abandoned the engine queue past its timeout.
+func (c *Collector) drop(at float64, r *request.Request, pool, rep int) {
 	if s := c.span(at, r); s != nil {
 		s.transition(at, stDone)
 	}
 	c.pool(at, pool).Drops++
 }
 
-// Fail implements Recorder.
+// Fail records that the request was declared unservable: by an engine
+// (through Attach) or by the cluster. A negative pool charges the front.
 func (c *Collector) Fail(at float64, r *request.Request, pool, rep int) {
 	if s := c.span(at, r); s != nil {
 		s.transition(at, stDone)
@@ -389,8 +401,8 @@ func (c *Collector) Fail(at float64, r *request.Request, pool, rep int) {
 	}
 }
 
-// Finish implements Recorder.
-func (c *Collector) Finish(at float64, r *request.Request, pool, rep int) {
+// finish: every output token delivered.
+func (c *Collector) finish(at float64, r *request.Request, pool, rep int) {
 	if s := c.span(at, r); s != nil && !s.terminal() {
 		s.Pool, s.Rep = pool, rep
 		s.transition(at, stDone)
@@ -398,7 +410,9 @@ func (c *Collector) Finish(at float64, r *request.Request, pool, rep int) {
 	c.pool(at, pool).Finishes++
 }
 
-// XferBook implements Recorder.
+// XferBook records that a KV handoff transfer was booked on the link.
+// start/done bound the wire occupancy (after any lane queueing); the
+// destination may still change on a retry.
 func (c *Collector) XferBook(at float64, r *request.Request, fromPool, fromRep, toPool, toRep int, bytes int64, start, done float64) {
 	if s := c.span(at, r); s != nil {
 		if !s.terminal() {
@@ -414,7 +428,9 @@ func (c *Collector) XferBook(at float64, r *request.Request, fromPool, fromRep, 
 	c.front(at).XferBooks++
 }
 
-// XferFail implements Recorder.
+// XferFail records that a link fault destroyed a booked delivery; the
+// transfer will retry no earlier than retryAt (or fall back to re-prefill,
+// which surfaces as a later Arrive).
 func (c *Collector) XferFail(at float64, r *request.Request, retryAt float64) {
 	if s := c.span(at, r); s != nil && !s.terminal() {
 		s.transition(at, stOutage)
@@ -422,7 +438,8 @@ func (c *Collector) XferFail(at float64, r *request.Request, retryAt float64) {
 	c.front(at).XferFails++
 }
 
-// XferDeliver implements Recorder.
+// XferDeliver records that the KV transfer landed on the decode side —
+// the user-visible first token for a disaggregated request.
 func (c *Collector) XferDeliver(at float64, r *request.Request, pool, rep int) {
 	if s := c.span(at, r); s != nil && !s.terminal() {
 		s.Pool, s.Rep = pool, rep
@@ -433,7 +450,8 @@ func (c *Collector) XferDeliver(at float64, r *request.Request, pool, rep int) {
 	c.front(at).XferDelivers++
 }
 
-// Crash implements Recorder.
+// Crash records that a replica died, orphaning `orphans` in-flight
+// requests.
 func (c *Collector) Crash(at float64, pool, rep int, orphans int) {
 	c.instants = append(c.instants, instant{at, pool, rep, "crash"})
 	row := c.pool(at, pool)
@@ -441,21 +459,24 @@ func (c *Collector) Crash(at float64, pool, rep int, orphans int) {
 	row.Orphans += orphans
 }
 
-// Orphan implements Recorder.
+// Orphan records that this request's progress died with a crashed
+// replica.
 func (c *Collector) Orphan(at float64, r *request.Request) {
 	if s := c.span(at, r); s != nil && !s.terminal() {
 		s.transition(at, stOutage)
 	}
 }
 
-// Recover implements Recorder.
+// Recover records that a crashed replica came back.
 func (c *Collector) Recover(at float64, pool, rep int) {
 	c.instants = append(c.instants, instant{at, pool, rep, "recover"})
 	c.pool(at, pool).Recoveries++
 }
 
-// Iteration implements Recorder.
-func (c *Collector) Iteration(at float64, pool, rep int, kind string, dur float64, batch int, kvBytes int64, queueLen int) {
+// iteration: one engine step (kind "prefill", "decode", "mixed",
+// "chunked" or "static") that started at at-dur and ended at at, with its
+// batch size, resident KV bytes after the step, and queue depth after it.
+func (c *Collector) iteration(at float64, pool, rep int, kind string, dur float64, batch int, kvBytes int64, queueLen int) {
 	c.iters = append(c.iters, iterSlice{
 		At: at, Dur: dur, Pool: pool, Rep: rep, Kind: kind,
 		Batch: batch, KVBytes: kvBytes, QueueLen: queueLen,
@@ -467,7 +488,8 @@ func (c *Collector) Iteration(at float64, pool, rep int, kind string, dur float6
 	row.peakKV(kvBytes)
 }
 
-// PlanPoint implements Recorder.
+// PlanPoint records one planner evaluation: the replica target it chose
+// and the active count after applying it.
 func (c *Collector) PlanPoint(at float64, pool, target, active int) {
 	c.plans = append(c.plans, planPoint{at, pool, target, active})
 	row := c.pool(at, pool)
@@ -475,12 +497,14 @@ func (c *Collector) PlanPoint(at float64, pool, target, active int) {
 	row.hasPlan = true
 }
 
-// Chunk implements Recorder: one prefill chunk landed. The span's prefill
-// stage splits at the chunk boundary — each chunk becomes its own seg in
-// the waterfall — while the bucket totals (and so the exact TTFT
-// decomposition) are untouched: a chunk boundary is a sub-division of
-// prefill time, not a new stage. Interval rows count chunks and tokens.
-func (c *Collector) Chunk(at float64, r *request.Request, pool, rep int, tokens, done, total int) {
+// chunk: one prefill chunk of ch.Tokens prompt tokens landed at the end of
+// a chunked iteration. The span's prefill stage splits at the chunk
+// boundary — each chunk becomes its own seg in the waterfall — while the
+// bucket totals (and so the exact TTFT decomposition) are untouched: a
+// chunk boundary is a sub-division of prefill time, not a new stage.
+// Interval rows count chunks and tokens.
+func (c *Collector) chunk(at float64, pool int, ch engine.Chunk) {
+	r := ch.Req
 	if s := c.span(at, r); s != nil && !s.terminal() {
 		s.Chunks++
 		if s.stage == stPrefill {
@@ -497,21 +521,56 @@ func (c *Collector) Chunk(at float64, r *request.Request, pool, rep int, tokens,
 	}
 	row := c.pool(at, pool)
 	row.ChunkCount++
-	row.ChunkTokens += int64(tokens)
+	row.ChunkTokens += int64(ch.Tokens)
 }
 
-// CacheEvent implements Recorder: prefix-cache token flows accumulate into
-// the pool's interval row, from which the CSV derives the per-pool hit rate.
-func (c *Collector) CacheEvent(at float64, pool, rep int, kind string, tokens int) {
-	row := c.pool(at, pool)
-	switch kind {
-	case CacheHit:
-		row.CacheHitTokens += int64(tokens)
-	case CacheMiss:
-		row.CacheMissTokens += int64(tokens)
-	case CacheRestore:
-		row.CacheRestoreTokens += int64(tokens)
-	case CacheEvict:
-		row.CacheEvictTokens += int64(tokens)
-	}
+// Attach installs the Collector's engine-side handlers on e, which serves
+// as replica rep of pool. Call it after every other hook on e is in place,
+// so the Collector observes each lifecycle point last; a cluster attaches
+// its recorder to every replica at construction, before any Step.
+func (c *Collector) Attach(e *engine.Engine, pool, rep int) {
+	e.AddAdmitHook(func(at float64, admitted []*request.Request) {
+		cached := e.PrefixCacheEnabled()
+		for _, r := range admitted {
+			c.admit(at, r, pool, rep)
+			if !cached || r.Migrated {
+				continue
+			}
+			// Prefix-cache token flows, from which the CSV derives the
+			// per-pool hit rate hit/(hit+miss).
+			if r.CachedTokens > 0 {
+				c.pool(at, pool).CacheHitTokens += int64(r.CachedTokens)
+			}
+			if r.RestoredTokens > 0 {
+				c.pool(at, pool).CacheRestoreTokens += int64(r.RestoredTokens)
+			}
+			if miss := r.Footprint() - r.CachedTokens - r.RestoredTokens; miss > 0 && !r.Swapped {
+				c.pool(at, pool).CacheMissTokens += int64(miss)
+			}
+		}
+	})
+	e.AddTokenHook(func(at float64, r *request.Request) {
+		if r.Generated == 1 {
+			c.firstToken(at, r, pool, rep)
+		}
+	})
+	e.AddEvictHook(func(at float64, r *request.Request) { c.evict(at, r, pool, rep) })
+	e.AddDropHook(func(at float64, r *request.Request) { c.drop(at, r, pool, rep) })
+	e.AddFailHook(func(at float64, r *request.Request) { c.Fail(at, r, pool, rep) })
+	e.AddFinishHook(func(at float64, r *request.Request) { c.finish(at, r, pool, rep) })
+	e.AddChunkHook(func(at float64, ch engine.Chunk) { c.chunk(at, pool, ch) })
+	bytesPerToken := e.KVBytesPerToken()
+	var cacheEvicted int64 // watermark of the pool's cumulative evictions
+	e.AddIterationHook(func(at float64, it engine.Iteration) {
+		// Cache evictions happen inside pool reclaim loops (allocation,
+		// extension); surface the step's total off the pool's counter.
+		if e.PrefixCacheEnabled() {
+			if d := e.Pool().PrefixStats().EvictedBlocks - cacheEvicted; d > 0 {
+				c.pool(at, pool).CacheEvictTokens += d * int64(e.Pool().PrefixBlockTokens())
+				cacheEvicted += d
+			}
+		}
+		c.iteration(at, pool, rep, it.Kind, it.Duration, it.BatchSize,
+			int64(it.KVTokens)*bytesPerToken, e.QueueLen())
+	})
 }

@@ -21,14 +21,14 @@ func TestMonolithicDecomposition(t *testing.T) {
 	r := request.New(1, 100, 10, 64, 0)
 	c.Arrive(0, r)
 	c.Place(0, r, 0, 2, "a100")
-	c.Admit(1.5, r, 0, 2)
+	c.admit(1.5, r, 0, 2)
 	r.EmitToken(2.75)
-	c.FirstToken(2.75, r, 0, 2)
+	c.firstToken(2.75, r, 0, 2)
 	for !r.Done() {
 		r.EmitToken(3)
 	}
 	r.Finish(4)
-	c.Finish(4, r, 0, 2)
+	c.finish(4, r, 0, 2)
 
 	s := c.spans[1]
 	if !approx(s.Hold, 0) || !approx(s.Queue, 1.5) || !approx(s.Prefill, 1.25) {
@@ -55,13 +55,13 @@ func TestDisaggregatedDecomposition(t *testing.T) {
 	c.Hold(0, r, 1)
 	c.Release(1.0, r, 0)
 	c.Place(1.0, r, 0, 0, "")
-	c.Admit(1.25, r, 0, 0)
+	c.admit(1.25, r, 0, 0)
 	r.EmitToken(2.25)
-	c.FirstToken(2.25, r, 0, 0)
+	c.firstToken(2.25, r, 0, 0)
 	c.XferBook(2.25, r, 0, 0, 1, 3, 4096, 2.30, 2.50)
 	r.RecordMigration(2.50)
 	c.XferDeliver(2.50, r, 1, 3)
-	c.Admit(2.60, r, 1, 3) // migrated decode admission: post-TTFT, ignored
+	c.admit(2.60, r, 1, 3) // migrated decode admission: post-TTFT, ignored
 
 	s := c.spans[7]
 	if !approx(s.Hold, 1.0) || !approx(s.Queue, 0.25) || !approx(s.Prefill, 1.0) || !approx(s.Wire, 0.25) {
@@ -86,17 +86,17 @@ func TestCrashReopensTTFT(t *testing.T) {
 	r := request.New(3, 100, 10, 64, 0)
 	c.Arrive(0, r)
 	c.Place(0, r, 0, 0, "")
-	c.Admit(0.5, r, 0, 0)
+	c.admit(0.5, r, 0, 0)
 	r.EmitToken(1.5)
-	c.FirstToken(1.5, r, 0, 0)
+	c.firstToken(1.5, r, 0, 0)
 	// 2.5 s of decode streaming, then the replica dies.
 	c.Orphan(4.0, r)
 	r.ResetForRetry()
 	c.Arrive(4.0, r)
 	c.Place(4.0, r, 0, 1, "")
-	c.Admit(5.0, r, 0, 1)
+	c.admit(5.0, r, 0, 1)
 	r.EmitToken(6.25)
-	c.FirstToken(6.25, r, 0, 1)
+	c.firstToken(6.25, r, 0, 1)
 
 	s := c.spans[3]
 	if !approx(s.Outage, 2.5) {
@@ -120,14 +120,14 @@ func TestClockRegressionClamps(t *testing.T) {
 	r := request.New(9, 100, 10, 64, 0)
 	c.Arrive(0, r)
 	c.Place(0, r, 0, 0, "")
-	c.Admit(2.0, r, 0, 0)
+	c.admit(2.0, r, 0, 0)
 	c.Orphan(1.5, r) // fault event timestamped before the engine's clock
 	r.ResetForRetry()
 	c.Arrive(1.5, r)
 	c.Place(1.5, r, 0, 1, "")
-	c.Admit(3.0, r, 0, 1)
+	c.admit(3.0, r, 0, 1)
 	r.EmitToken(4.0)
-	c.FirstToken(4.0, r, 0, 1)
+	c.firstToken(4.0, r, 0, 1)
 
 	s := c.spans[9]
 	if !approx(s.StageSum(), s.TTFT()) {
@@ -147,7 +147,7 @@ func TestShedTerminal(t *testing.T) {
 	c.Hold(0, r, 1)
 	r.Shed(2)
 	c.Shed(2, r, ShedFront)
-	c.Admit(3, r, 0, 0) // must be ignored
+	c.admit(3, r, 0, 0) // must be ignored
 	s := c.spans[4]
 	if !s.terminal() || s.ShedWhere != ShedFront || !approx(s.Hold, 2) {
 		t.Fatalf("stage %v shedWhere %q hold %v", s.stage, s.ShedWhere, s.Hold)
@@ -166,14 +166,14 @@ func TestSpanCSVRoundTrip(t *testing.T) {
 	r.TTFTDeadline = 8
 	c.Arrive(0.5, r)
 	c.Place(0.5, r, 0, 1, "h100")
-	c.Admit(1.0, r, 0, 1)
+	c.admit(1.0, r, 0, 1)
 	r.EmitToken(2.0)
-	c.FirstToken(2.0, r, 0, 1)
+	c.firstToken(2.0, r, 0, 1)
 	for !r.Done() {
 		r.EmitToken(3)
 	}
 	r.Finish(3)
-	c.Finish(3, r, 0, 1)
+	c.finish(3, r, 0, 1)
 
 	var buf bytes.Buffer
 	if err := c.WriteSpanCSV(&buf); err != nil {
@@ -223,10 +223,10 @@ func TestTimeSeriesRollup(t *testing.T) {
 	r := request.New(1, 100, 10, 64, 0)
 	c.Arrive(0, r)
 	c.Arrive(12, request.New(2, 100, 10, 64, 12))
-	c.Iteration(5, 0, 0, "decode", 0.05, 8, 1<<20, 3)
-	c.Iteration(6, 0, 0, "decode", 0.05, 12, 2<<20, 1)
+	c.iteration(5, 0, 0, "decode", 0.05, 8, 1<<20, 3)
+	c.iteration(6, 0, 0, "decode", 0.05, 12, 2<<20, 1)
 	c.PlanPoint(5, 0, 4, 3)
-	c.Iteration(15, 0, 0, "decode", 0.05, 2, 1<<10, 0)
+	c.iteration(15, 0, 0, "decode", 0.05, 2, 1<<10, 0)
 
 	rows := c.Rows()
 	byKey := map[[2]int]*TSRow{}
@@ -265,10 +265,10 @@ func TestPerfettoValidJSON(t *testing.T) {
 	r := request.New(5, 100, 4, 8, 0)
 	c.Arrive(0, r)
 	c.Place(0, r, 0, 0, "")
-	c.Admit(0.5, r, 0, 0)
-	c.Iteration(1.5, 0, 0, "prefill", 1.0, 1, 4096, 0)
+	c.admit(0.5, r, 0, 0)
+	c.iteration(1.5, 0, 0, "prefill", 1.0, 1, 4096, 0)
 	r.EmitToken(1.5)
-	c.FirstToken(1.5, r, 0, 0)
+	c.firstToken(1.5, r, 0, 0)
 	c.XferBook(1.5, r, 0, 0, 1, 2, 4096, 1.5, 1.7)
 	r.RecordMigration(1.7)
 	c.XferDeliver(1.7, r, 1, 2)

@@ -11,8 +11,8 @@ import (
 // feedSyntheticRun drives a recorder through a synthetic but stage-complete
 // event stream: held+placed+admitted requests, a disaggregated handoff with
 // a wire failure, a crash/orphan/recover episode, sheds, drops, and decode
-// iterations — every Recorder method fires at least once.
-func feedSyntheticRun(rec Recorder, n int) {
+// iterations — every event handler fires at least once.
+func feedSyntheticRun(rec *Collector, n int) {
 	for i := 0; i < n; i++ {
 		id := int64(i + 1)
 		r := request.New(id, 100+i, 50, 256, float64(i))
@@ -23,36 +23,36 @@ func feedSyntheticRun(rec Recorder, n int) {
 		rec.Place(t+0.1, r, 0, i%2, "A100")
 		switch i % 5 {
 		case 0: // full disaggregated path with one wire failure
-			rec.Admit(t+0.2, r, 0, i%2)
-			rec.FirstToken(t+0.4, r, 0, i%2)
+			rec.admit(t+0.2, r, 0, i%2)
+			rec.firstToken(t+0.4, r, 0, i%2)
 			rec.XferBook(t+0.4, r, 0, i%2, 1, 0, 1<<20, t+0.45, t+0.5)
 			rec.XferFail(t+0.5, r, t+0.6)
 			rec.XferBook(t+0.6, r, 0, i%2, 1, 0, 1<<20, t+0.65, t+0.7)
 			rec.XferDeliver(t+0.7, r, 1, 0)
-			rec.Finish(t+1.2, r, 1, 0)
+			rec.finish(t+1.2, r, 1, 0)
 		case 1: // monolithic with an eviction detour
-			rec.Admit(t+0.2, r, 0, i%2)
-			rec.Evict(t+0.3, r, 0, i%2)
-			rec.Admit(t+0.5, r, 0, i%2)
-			rec.FirstToken(t+0.7, r, 0, i%2)
-			rec.Finish(t+1.0, r, 0, i%2)
+			rec.admit(t+0.2, r, 0, i%2)
+			rec.evict(t+0.3, r, 0, i%2)
+			rec.admit(t+0.5, r, 0, i%2)
+			rec.firstToken(t+0.7, r, 0, i%2)
+			rec.finish(t+1.0, r, 0, i%2)
 		case 2: // crash mid-flight, recover, finish
-			rec.Admit(t+0.2, r, 0, i%2)
+			rec.admit(t+0.2, r, 0, i%2)
 			rec.Crash(t+0.3, 0, i%2, 1)
 			rec.Orphan(t+0.3, r)
 			rec.Recover(t+0.5, 0, i%2)
 			rec.Arrive(t+0.5, r)
 			rec.Place(t+0.5, r, 0, (i+1)%2, "A100")
-			rec.Admit(t+0.6, r, 0, (i+1)%2)
-			rec.FirstToken(t+0.8, r, 0, (i+1)%2)
-			rec.Finish(t+1.1, r, 0, (i+1)%2)
+			rec.admit(t+0.6, r, 0, (i+1)%2)
+			rec.firstToken(t+0.8, r, 0, (i+1)%2)
+			rec.finish(t+1.1, r, 0, (i+1)%2)
 		case 3:
 			rec.Shed(t+0.2, r, ShedFront)
 		case 4:
-			rec.Admit(t+0.2, r, 0, i%2)
-			rec.Drop(t+0.3, r, 0, i%2)
+			rec.admit(t+0.2, r, 0, i%2)
+			rec.drop(t+0.3, r, 0, i%2)
 		}
-		rec.Iteration(t+0.9, 0, i%2, "decode", 0.05, 4, 1<<22, i%4)
+		rec.iteration(t+0.9, 0, i%2, "decode", 0.05, 4, 1<<22, i%4)
 	}
 	rec.PlanPoint(float64(n), 0, 2, 2)
 	rec.Fail(float64(n)+0.5, request.New(int64(n+1), 10, 5, 64, float64(n)), -1, -1)

@@ -39,7 +39,11 @@ type TSRow struct {
 	Target, Active                          int
 	hasPlan                                 bool
 
-	// Prefix-cache token flows within the interval (0 when caching is off).
+	// Prefix-cache token flows within the interval (0 when caching is off):
+	// prompt tokens served by resident prefix blocks at admission (hit),
+	// encoded by cache-enabled admissions (miss), restored from the host
+	// offload store (restore), and cached tokens reclaimed from resident
+	// blocks for memory (evict).
 	CacheHitTokens, CacheMissTokens      int64
 	CacheRestoreTokens, CacheEvictTokens int64
 
