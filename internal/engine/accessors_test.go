@@ -62,6 +62,30 @@ func TestAllHookAddersChain(t *testing.T) {
 	}
 }
 
+// TestHooksRunInInstallOrder: chained hooks run in the order they were
+// added, so an observer attached last (obs.Collector.Attach) sees each
+// lifecycle point after every earlier hook.
+func TestHooksRunInInstallOrder(t *testing.T) {
+	e := newEngine(t, core.MustNewAggressive(0.99), 500)
+	var seq []string
+	for _, name := range []string{"a", "b", "c"} {
+		name := name
+		e.AddTokenHook(func(float64, *request.Request) { seq = append(seq, "tok-"+name) })
+		e.AddFinishHook(func(float64, *request.Request) { seq = append(seq, "fin-"+name) })
+	}
+	e.SubmitAll(mkReqs(4, 20, 5, 100))
+	res := e.Run()
+	if want := 3 * (int(res.OutputTokens) + len(res.Finished)); len(seq) != want {
+		t.Fatalf("%d hook calls, want %d", len(seq), want)
+	}
+	for i := 0; i < len(seq); i += 3 {
+		kind := seq[i][:4]
+		if seq[i] != kind+"a" || seq[i+1] != kind+"b" || seq[i+2] != kind+"c" {
+			t.Fatalf("hooks out of install order at %d: %v", i, seq[i:i+3])
+		}
+	}
+}
+
 func TestStaticBatchWaitsForArrivals(t *testing.T) {
 	e, err := New(Config{
 		Perf:             testPerf(t),

@@ -224,3 +224,42 @@ func BenchmarkChunkSchedule(b *testing.B) {
 		b.Fatal("sizer returned nothing")
 	}
 }
+
+// TestChunkHookMatchesCounters: the chunk hook fires once per carved chunk,
+// at non-decreasing iteration-end times, and its token total is the
+// chunked prefill work the engine counted. An unchunked engine never fires
+// it, and a chunked engine without the hook keeps no deferred chunks.
+func TestChunkHookMatchesCounters(t *testing.T) {
+	const n = 60
+	run := func(chunk ChunkConfig, hook bool) (*Engine, *Result, int64, int64) {
+		e := chunkEngine(t, chunk, 2048, 7)
+		var calls, tokens int64
+		last := 0.0
+		if hook {
+			e.AddChunkHook(func(now float64, c Chunk) {
+				if now < last || c.Tokens <= 0 || c.Req == nil {
+					t.Fatalf("chunk at %v after %v: %d tokens, req %v", now, last, c.Tokens, c.Req)
+				}
+				last = now
+				calls++
+				tokens += int64(c.Tokens)
+			})
+		}
+		e.SubmitAll(longMixReqs(n, 6, 42))
+		return e, e.Run(), calls, tokens
+	}
+	greedy := ChunkConfig{Enabled: true, Policy: ChunkGreedyFixed, ChunkTokens: 512}
+	_, res, calls, tokens := run(greedy, true)
+	if res.PrefillChunks == 0 || calls != res.PrefillChunks {
+		t.Fatalf("chunk hook fired %d times for %d chunks", calls, res.PrefillChunks)
+	}
+	if tokens != res.PrefillComputeTokens {
+		t.Fatalf("chunk hook saw %d tokens, engine encoded %d", tokens, res.PrefillComputeTokens)
+	}
+	if _, _, calls, _ := run(ChunkConfig{}, true); calls != 0 {
+		t.Fatalf("unchunked engine fired the chunk hook %d times", calls)
+	}
+	if e, _, _, _ := run(greedy, false); len(e.chunkEmitScratch) != 0 {
+		t.Fatalf("chunked engine without a chunk hook deferred %d chunks", len(e.chunkEmitScratch))
+	}
+}
