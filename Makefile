@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck layering bench bench-fleet bench-scale chaos cover ci
+.PHONY: build test vet fmt-check staticcheck layering simbench-build bench bench-fleet bench-scale chaos cover ci
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,12 @@ layering:
 		echo "internal/engine must not depend on internal/obs"; exit 1; \
 	fi
 
+# simbench-build vets and compiles the simulator benchmark (simbench/), a
+# separate module outside ./..., so an API change that breaks it fails here
+# rather than only in the benchmark pipeline.
+simbench-build:
+	cd simbench && $(GO) vet . && $(GO) build -o /dev/null .
+
 # bench runs the scheduler hot-path micro-benchmarks and records ns/op and
 # allocs/op in BENCH_hotpath.json so future PRs can track the perf
 # trajectory (see ROADMAP.md "Hot path & complexity"), then the fleet-scale
@@ -80,4 +86,4 @@ chaos:
 		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence|TestFaultStormReplayChaos' \
 		./internal/cluster/ ./internal/kv/ ./internal/engine/
 
-ci: build vet fmt-check staticcheck layering test chaos
+ci: build vet fmt-check staticcheck layering simbench-build test chaos

@@ -539,21 +539,9 @@ func (p *Pool) pick(req *request.Request) *replica {
 		}
 		return best
 	case FutureHeadroom:
-		// Rank (fits, speed-normalized score) lexicographically, like the
-		// decode cost vector: speed never makes a predicted overflow fit,
-		// so a fitting slow replica always beats an overflowing fast one.
-		// Fits is a threshold on the raw fraction, so in a single-flavor
-		// pool (score == fraction) this is exactly the raw-fraction argmin.
-		var best *replica
-		bestFits, bestScore := false, math.Inf(1)
-		for _, rep := range cands {
-			frac := p.probe(rep, req)
-			fits := frac <= 1
-			score := frac/rep.flv.relSpeed - p.affinity(rep, req)
-			if best == nil || betterFit(fits, score, bestFits, bestScore) {
-				best, bestFits, bestScore = rep, fits, score
-			}
-		}
+		// The ungated placement argmin: cands is non-empty, so it is never
+		// nil.
+		best, _ := p.bestProbe(req, math.Inf(1))
 		return best
 	default: // RoundRobin — rotation starts at the first accepting replica
 		rep := cands[p.rr%len(cands)]
@@ -597,11 +585,10 @@ func (p *Pool) probe(rep *replica, req *request.Request) float64 {
 }
 
 // betterFit is the shared (fits, speed-normalized score) lexicographic
-// ranking behind every flavor-aware replica choice: pick()'s
-// FutureHeadroom arm, bestProbe's placement argmin (which MUST stay
-// decision-identical to pick, so admission placements reuse the gate's
-// choice), and the final tie-break of the decode cost vector. One
-// comparator, so the copies cannot drift apart.
+// ranking behind every flavor-aware replica choice: bestProbe's argmin
+// (which is also pick()'s FutureHeadroom arm) and the final tie-break of
+// the decode cost vector. Speed never makes a predicted overflow fit, so a
+// fitting slow replica always beats an overflowing fast one.
 func betterFit(fits bool, score float64, bestFits bool, bestScore float64) bool {
 	if fits != bestFits {
 		return fits
@@ -613,18 +600,16 @@ func betterFit(fits bool, score float64, bestFits bool, bestScore float64) bool 
 // accepting replicas whose *raw* probe fraction passes the admission gate,
 // together with the smallest raw fraction across all accepting replicas —
 // the gate's signal: some replica can take the request iff that minimum is
-// at or under the gate. gate = +Inf degrades to the plain FutureHeadroom
-// argmin ((nil, +Inf) when no replica accepts, e.g. everything is still
-// activating). With gate = +Inf the ranking, iteration order, and strict
-// `<` match pick()'s FutureHeadroom argmin exactly, so a placement reusing
-// the returned replica is decision-identical to routing again; a finite
-// gate restricts the argmin to gate-passing replicas, which can diverge
-// from pick() in a heterogeneous pool (a fast replica over the gate but
-// under 1.0 is pickable yet not placeable — the gate is admission's
-// stricter contract). In a single-flavor pool score == fraction and fits
-// is a threshold on that same fraction, so the qualifying argmin coincides
-// with the pre-flavor raw-fraction behavior whenever the gate passes at
-// all.
+// at or under the gate. gate = +Inf is pick()'s FutureHeadroom argmin
+// ((nil, +Inf) when no replica accepts, e.g. everything is still
+// activating), so a placement reusing the returned replica is
+// decision-identical to routing again. A finite gate restricts the argmin
+// to gate-passing replicas, which can diverge from pick() in a
+// heterogeneous pool (a fast replica over the gate but under 1.0 is
+// pickable yet not placeable — the gate is admission's stricter contract).
+// In a single-flavor pool score == fraction and fits is a threshold on that
+// same fraction, so the qualifying argmin coincides with the pre-flavor
+// raw-fraction behavior whenever the gate passes at all.
 func (p *Pool) bestProbe(req *request.Request, gate float64) (*replica, float64) {
 	var bestRep *replica
 	bestFits, bestScore, minFrac := false, math.Inf(1), math.Inf(1)

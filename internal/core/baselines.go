@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/lightllm-go/lightllm/internal/request"
 )
@@ -17,7 +18,7 @@ type Aggressive struct {
 
 // NewAggressive validates the watermark.
 func NewAggressive(watermark float64) (*Aggressive, error) {
-	if watermark <= 0 || watermark > 1 {
+	if !(watermark > 0 && watermark <= 1) {
 		return nil, fmt.Errorf("core: watermark %v outside (0,1]", watermark)
 	}
 	return &Aggressive{Watermark: watermark}, nil
@@ -68,8 +69,8 @@ type Conservative struct {
 
 // NewConservative validates the overcommit factor.
 func NewConservative(overcommit float64) (*Conservative, error) {
-	if overcommit < 1 {
-		return nil, fmt.Errorf("core: overcommit %v below 1", overcommit)
+	if !(overcommit >= 1 && overcommit < math.Inf(1)) {
+		return nil, fmt.Errorf("core: overcommit %v outside [1,+Inf)", overcommit)
 	}
 	return &Conservative{Overcommit: overcommit}, nil
 }

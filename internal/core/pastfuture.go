@@ -88,13 +88,13 @@ type PastFuture struct {
 
 // NewPastFuture validates the configuration and builds the scheduler.
 func NewPastFuture(cfg PastFutureConfig) (*PastFuture, error) {
-	if cfg.Reserved < 0 || cfg.Reserved >= 1 {
+	if !(cfg.Reserved >= 0 && cfg.Reserved < 1) {
 		return nil, fmt.Errorf("core: reserved fraction %v outside [0,1)", cfg.Reserved)
 	}
 	if !cfg.Deterministic && cfg.Rng == nil {
 		return nil, fmt.Errorf("core: sampling mode requires an RNG")
 	}
-	if cfg.Quantile < 0 || cfg.Quantile > 1 {
+	if !(cfg.Quantile >= 0 && cfg.Quantile <= 1) {
 		return nil, fmt.Errorf("core: quantile %v outside [0,1]", cfg.Quantile)
 	}
 	cfg = cfg.withDefaults()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -214,6 +215,12 @@ func TestPastFutureConfigValidation(t *testing.T) {
 	if _, err := NewPastFuture(PastFutureConfig{Deterministic: true, Quantile: 1.5}); err == nil {
 		t.Fatal("quantile > 1 accepted")
 	}
+	if _, err := NewPastFuture(PastFutureConfig{Reserved: math.NaN(), Deterministic: true}); err == nil {
+		t.Fatal("NaN reserve accepted")
+	}
+	if _, err := NewPastFuture(PastFutureConfig{Deterministic: true, Quantile: math.NaN()}); err == nil {
+		t.Fatal("NaN quantile accepted")
+	}
 }
 
 func TestPastFutureName(t *testing.T) {
@@ -259,12 +266,26 @@ func TestAggressiveCountsRunningUsage(t *testing.T) {
 	}
 }
 
-func TestAggressiveValidation(t *testing.T) {
-	if _, err := NewAggressive(0); err == nil {
-		t.Fatal("watermark 0 accepted")
-	}
-	if _, err := NewAggressive(1.01); err == nil {
-		t.Fatal("watermark > 1 accepted")
+func TestBaselineValidation(t *testing.T) {
+	aggressive := func(x float64) error { _, err := NewAggressive(x); return err }
+	conservative := func(x float64) error { _, err := NewConservative(x); return err }
+	for _, tc := range []struct {
+		name string
+		ctor func(float64) error
+		x    float64
+	}{
+		{"watermark 0", aggressive, 0},
+		{"watermark above 1", aggressive, 1.01},
+		{"watermark NaN", aggressive, math.NaN()},
+		{"overcommit below 1", conservative, 0.9},
+		{"overcommit NaN", conservative, math.NaN()},
+		{"overcommit +Inf", conservative, math.Inf(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.ctor(tc.x) == nil {
+				t.Fatalf("%v accepted", tc.x)
+			}
+		})
 	}
 }
 
@@ -305,12 +326,6 @@ func TestConservativeCountsRunningReservations(t *testing.T) {
 	q2 := []*request.Request{request.New(3, 5, 2, 10, 0)} // needs 15 > 10
 	if got := c.Admit(v, q2); got != 0 {
 		t.Fatalf("admitted %d, want 0", got)
-	}
-}
-
-func TestConservativeValidation(t *testing.T) {
-	if _, err := NewConservative(0.9); err == nil {
-		t.Fatal("overcommit < 1 accepted")
 	}
 }
 

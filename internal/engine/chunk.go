@@ -10,16 +10,18 @@ import (
 // admitted prompt into one blocking prefill iteration, admissions reserve
 // their full KV footprint up front and their prompts land chunk by chunk,
 // each chunk fused with one decode step for the running batch. A 32k-token
-// prompt therefore costs the batch a sequence of bounded mixed iterations
-// rather than one multi-second stall — the head-of-line-blocking fix.
+// prompt therefore costs the batch a sequence of bounded chunked iterations
+// rather than one multi-second stall — the head-of-line-blocking fix. This
+// is the engine's only chunk pipeline: the DeepSpeed-MII emulation
+// (Dynamic SplitFuse) runs on it too.
 //
 // Two chunk sizers are selectable (ChunkConfig.Policy): the greedy fixed
 // chunk of Sarathi/DeepSpeed-FastGen, and an SLO-aware sizer that spends a
 // bounded share of the tightest waiting request's remaining TTFT budget
 // per chunk — long prompts yield to tight deadlines behind them and
-// stretch out when slack is plentiful. The greedy policy is kept as the
-// reference for decision-equivalence tests, mirroring NaivePeak and the
-// cluster's naive probe.
+// stretch out when slack is plentiful. The greedy policy is also the
+// reference the SLO-aware sizer's decision-equivalence tests check
+// against.
 
 // enqueueChunked moves freshly admitted requests into the chunk pipeline.
 // Migrated, swapped, and cache-covered tokens never re-encode, so the

@@ -4,11 +4,11 @@
 //
 // The engine is a step-level discrete-event simulator. Each call to Step
 // executes one engine iteration — a fused prefill over newly admitted
-// prompts, one decode step for the whole running batch, or (under the
-// splitfuse strategy) a mixed token-budget iteration — and advances the
-// simulated clock by that iteration's duration from the perf model. All
-// scheduling-visible state (KV token occupancy, queue, running batch,
-// history window of finished output lengths) is exact; only kernel
+// prompts, one decode step for the whole running batch, or (with chunked
+// prefill on) one decode step fused with a budget of prompt chunks — and
+// advances the simulated clock by that iteration's duration from the perf
+// model. All scheduling-visible state (KV token occupancy, queue, running
+// batch, history window of finished output lengths) is exact; only kernel
 // execution is abstracted into durations.
 //
 // Eviction semantics follow vLLM's recompute policy, which the paper's
@@ -38,10 +38,10 @@ type Strategy int
 const (
 	// PrefillPriority runs admitted prompts as one fused prefill iteration
 	// before resuming decode — the default in LightLLM, vLLM, and TGI.
+	// With Config.Chunked enabled, prompts instead land chunk by chunk,
+	// each chunk fused with a decode step (Sarathi, DeepSpeed-FastGen's
+	// Dynamic SplitFuse).
 	PrefillPriority Strategy = iota
-	// SplitFuse packs prefill chunks and decode tokens into fixed
-	// token-budget iterations (DeepSpeed-MII/FastGen).
-	SplitFuse
 	// StaticBatch disables continuous batching: fixed-size batches run to
 	// completion with padding, emulating the original (pre-serving-
 	// framework) multimodal implementations in Table 2.
@@ -53,8 +53,6 @@ func (s Strategy) String() string {
 	switch s {
 	case PrefillPriority:
 		return "prefill-priority"
-	case SplitFuse:
-		return "splitfuse"
 	case StaticBatch:
 		return "static-batch"
 	default:
@@ -149,7 +147,7 @@ func chain[T any](prev, f func(float64, T)) func(float64, T) {
 
 // Iteration describes one executed engine iteration for observers.
 type Iteration struct {
-	Kind      string // "prefill", "decode", "mixed", "chunked", "static"
+	Kind      string // "prefill", "decode", "chunked", "static"
 	Duration  float64
 	BatchSize int
 	KVTokens  int
@@ -181,13 +179,13 @@ type Config struct {
 	// prefill-only/decode-only operation. Non-mixed roles require the
 	// PrefillPriority strategy.
 	Role Role
-	// SplitFuseBudget is the token budget per mixed iteration. 0 selects 512.
-	SplitFuseBudget int
 	// MaxPrefillTokens caps the prompt tokens fused into one prefill
 	// iteration under PrefillPriority (real frameworks' max batched-token
 	// knob): a smaller cap bounds how long decode stalls behind admissions,
 	// trading TTFT for MTPOT. 0 = unlimited. At least one request is always
-	// prefilled so oversized prompts still make progress.
+	// prefilled so oversized prompts still make progress. With chunked
+	// prefill on it is instead the per-iteration chunk budget: the prompt
+	// tokens all chunks of one iteration may carve together.
 	MaxPrefillTokens int
 	// StaticBatchSize is the fixed batch size for StaticBatch. 0 selects 8.
 	StaticBatchSize int
@@ -223,13 +221,19 @@ type Config struct {
 	Chunked ChunkConfig
 }
 
+// DefaultChunkTokens is the default greedy chunk size, and the chunk size
+// and per-iteration chunk budget of the DeepSpeed-MII emulation (FastGen's
+// 512-token SplitFuse window).
+const DefaultChunkTokens = 512
+
 // ChunkPolicy selects how the chunked-prefill scheduler sizes each chunk.
 type ChunkPolicy int
 
 const (
 	// ChunkGreedyFixed carves every chunk at ChunkTokens — the classic
-	// Sarathi/DeepSpeed-FastGen fixed-chunk policy, kept as the reference
-	// the SLO-aware sizer is decision-equivalence-checked against.
+	// Sarathi/DeepSpeed-FastGen fixed-chunk policy. The DeepSpeed-MII
+	// preset runs it, and it is the reference the SLO-aware sizer is
+	// decision-equivalence-checked against.
 	ChunkGreedyFixed ChunkPolicy = iota
 	// ChunkSLOAware sizes each chunk from the TTFT slack of the tightest-
 	// deadline request waiting behind it: plentiful slack grows the chunk
@@ -262,7 +266,7 @@ type ChunkConfig struct {
 	// Policy selects the chunk sizer (greedy fixed or SLO-aware).
 	Policy ChunkPolicy
 	// ChunkTokens is the greedy policy's fixed chunk size and the SLO-aware
-	// policy's no-signal fallback. 0 selects 512.
+	// policy's no-signal fallback. 0 selects DefaultChunkTokens.
 	ChunkTokens int
 	// MinChunkTokens floors the SLO-aware sizer so starved budgets still
 	// make forward progress. 0 selects 128.
@@ -305,7 +309,7 @@ type Engine struct {
 
 	queue      reqDeque           // FCFS wait queue; evictions push front
 	running    []*request.Request // decoding batch, admission order
-	prefilling []*prefillState    // splitfuse/chunked: prompts being chunked
+	prefilling []*prefillState    // chunked prefill: prompts being chunked
 
 	// chunkPending is the total prompt tokens reserved but not yet landed
 	// across e.prefilling under chunked prefill — the gap between the KV
@@ -334,7 +338,6 @@ type Engine struct {
 	handedOff       []*request.Request // prefill-only: completed prompts awaiting migration
 	decodeSteps     int
 	prefillIters    int
-	mixedIters      int
 	chunkIters      int   // chunked-prefill iterations executed
 	prefillChunks   int64 // prefill chunks carved across them
 	evictions       int
@@ -396,9 +399,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.HistoryWindow < 0 {
 		return nil, fmt.Errorf("engine: negative history window %d", cfg.HistoryWindow)
 	}
-	if cfg.SplitFuseBudget == 0 {
-		cfg.SplitFuseBudget = 512
-	}
 	if cfg.StaticBatchSize == 0 {
 		cfg.StaticBatchSize = 8
 	}
@@ -409,8 +409,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.CapacityOverride > 0 {
 		capacity = cfg.CapacityOverride
 	}
-	if cfg.QueueTimeout < 0 {
-		return nil, fmt.Errorf("engine: negative queue timeout %v", cfg.QueueTimeout)
+	if !(cfg.QueueTimeout >= 0) {
+		return nil, fmt.Errorf("engine: queue timeout %v is negative or NaN", cfg.QueueTimeout)
 	}
 	if cfg.Role != RoleMixed && cfg.Strategy != PrefillPriority {
 		return nil, fmt.Errorf("engine: role %v requires the prefill-priority strategy, got %v", cfg.Role, cfg.Strategy)
@@ -420,7 +420,7 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("engine: chunked prefill requires the prefill-priority strategy, got %v", cfg.Strategy)
 		}
 		if cfg.Chunked.ChunkTokens == 0 {
-			cfg.Chunked.ChunkTokens = 512
+			cfg.Chunked.ChunkTokens = DefaultChunkTokens
 		}
 		if cfg.Chunked.MinChunkTokens == 0 {
 			cfg.Chunked.MinChunkTokens = 128
@@ -438,7 +438,7 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("engine: chunk floor %d above cap %d",
 				cfg.Chunked.MinChunkTokens, cfg.Chunked.MaxChunkTokens)
 		}
-		if cfg.Chunked.SlackShare < 0 || cfg.Chunked.SlackShare > 1 {
+		if !(cfg.Chunked.SlackShare >= 0 && cfg.Chunked.SlackShare <= 1) {
 			return nil, fmt.Errorf("engine: chunk slack share %v outside [0,1]", cfg.Chunked.SlackShare)
 		}
 	}
@@ -568,8 +568,9 @@ func (e *Engine) CostWeight() float64 { return e.cfg.Perf.CostWeight() }
 // QueueLen returns the number of waiting requests.
 func (e *Engine) QueueLen() int { return e.queue.Len() }
 
-// RunningRequests returns a copy of the running batch (including splitfuse
-// prompts in flight), for observers like the multi-replica router.
+// RunningRequests returns a copy of the running batch (including chunked
+// prompts in flight and the static batch), for observers like the
+// multi-replica router.
 func (e *Engine) RunningRequests() []*request.Request {
 	out := make([]*request.Request, 0, len(e.running)+len(e.prefilling)+len(e.staticBatch))
 	out = append(out, e.running...)
@@ -586,7 +587,7 @@ func (e *Engine) QueuedRequests() []*request.Request {
 }
 
 // ForEachRunning calls f for every request in the running batch (including
-// splitfuse prompts in flight and the static batch) without allocating —
+// chunked prompts in flight and the static batch) without allocating —
 // the cluster routing probes' view of the batch. The iteration order
 // matches RunningRequests.
 func (e *Engine) ForEachRunning(f func(*request.Request)) {
@@ -607,8 +608,8 @@ func (e *Engine) ForEachQueued(f func(*request.Request)) {
 	e.queue.ForEach(f)
 }
 
-// RunningLen returns the size of the running batch (including prompts being
-// chunk-prefilled under splitfuse).
+// RunningLen returns the size of the running batch, including prompts still
+// being chunk-prefilled (the static batch is not counted).
 func (e *Engine) RunningLen() int { return len(e.running) + len(e.prefilling) }
 
 // AddAdmitHook chains f after the existing admit hooks. It fires after a

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"github.com/lightllm-go/lightllm/internal/core"
@@ -291,12 +292,12 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
-func TestSplitFuseCompletesAll(t *testing.T) {
+func TestGreedyChunkedCompletesAll(t *testing.T) {
 	e, err := New(Config{
 		Perf:             testPerf(t),
 		Scheduler:        core.MustNewConservative(1.0),
-		Strategy:         SplitFuse,
-		SplitFuseBudget:  64,
+		Chunked:          ChunkConfig{Enabled: true, Policy: ChunkGreedyFixed, ChunkTokens: 64},
+		MaxPrefillTokens: 64,
 		CapacityOverride: 3000,
 	})
 	if err != nil {
@@ -305,7 +306,7 @@ func TestSplitFuseCompletesAll(t *testing.T) {
 	e.SubmitAll(mkReqs(10, 100, 20, 150))
 	res := e.Run()
 	if len(res.Finished) != 10 {
-		t.Fatalf("splitfuse finished %d of 10", len(res.Finished))
+		t.Fatalf("chunked finished %d of 10", len(res.Finished))
 	}
 	for _, r := range res.Finished {
 		if r.Generated != 20 {
@@ -313,22 +314,25 @@ func TestSplitFuseCompletesAll(t *testing.T) {
 		}
 	}
 	if e.Pool().UsedTokens() != 0 {
-		t.Fatal("splitfuse leaked memory")
+		t.Fatal("chunked prefill leaked memory")
 	}
 }
 
-func TestSplitFuseSmoothsMTPOT(t *testing.T) {
-	// Splitfuse chunks big prompts across iterations, so running requests
-	// never stall behind a monolithic prefill: worst-case MTPOT should not
-	// exceed prefill-priority's.
-	run := func(strategy Strategy) float64 {
-		e := MustNew(Config{
+func TestGreedyChunkedSmoothsMTPOT(t *testing.T) {
+	// Greedy chunking (DeepSpeed-MII's splitfuse) spreads big prompts across
+	// iterations, so running requests never stall behind a monolithic
+	// prefill: worst-case MTPOT should not exceed fused prefill's.
+	run := func(chunked bool) float64 {
+		cfg := Config{
 			Perf:             testPerf(t),
 			Scheduler:        core.MustNewConservative(1.0),
-			Strategy:         strategy,
-			SplitFuseBudget:  128,
 			CapacityOverride: 100_000,
-		})
+		}
+		if chunked {
+			cfg.Chunked = ChunkConfig{Enabled: true, Policy: ChunkGreedyFixed, ChunkTokens: 128}
+			cfg.MaxPrefillTokens = 128
+		}
+		e := MustNew(cfg)
 		r := rng.New(3)
 		for i := 0; i < 40; i++ {
 			e.Submit(request.New(int64(i), 3000+r.Intn(1000), 100, 4096, float64(i)*0.02))
@@ -342,8 +346,8 @@ func TestSplitFuseSmoothsMTPOT(t *testing.T) {
 		}
 		return worst
 	}
-	if sf, pp := run(SplitFuse), run(PrefillPriority); sf > pp*1.05 {
-		t.Fatalf("splitfuse MTPOT %v worse than prefill-priority %v", sf, pp)
+	if ch, pp := run(true), run(false); ch > pp*1.05 {
+		t.Fatalf("chunked MTPOT %v worse than fused prefill %v", ch, pp)
 	}
 }
 
@@ -427,6 +431,9 @@ func TestConfigValidation(t *testing.T) {
 		{"negative block size", Config{Perf: testPerf(t), Scheduler: core.NewOracle(), BlockSize: -1}},
 		{"negative history window", Config{Perf: testPerf(t), Scheduler: core.NewOracle(), HistoryWindow: -1}},
 		{"negative capacity override", Config{Perf: testPerf(t), Scheduler: core.NewOracle(), CapacityOverride: -1}},
+		{"NaN queue timeout", Config{Perf: testPerf(t), Scheduler: core.NewOracle(), QueueTimeout: math.NaN()}},
+		{"NaN chunk slack share", Config{Perf: testPerf(t), Scheduler: core.NewOracle(),
+			Chunked: ChunkConfig{Enabled: true, SlackShare: math.NaN()}}},
 	} {
 		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s accepted", tc.name)
@@ -438,7 +445,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	if PrefillPriority.String() != "prefill-priority" || SplitFuse.String() != "splitfuse" || StaticBatch.String() != "static-batch" {
+	if PrefillPriority.String() != "prefill-priority" || StaticBatch.String() != "static-batch" {
 		t.Fatal("strategy strings wrong")
 	}
 }

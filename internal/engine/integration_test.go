@@ -114,14 +114,14 @@ func TestIntegrationInvariantsAcrossSchedulers(t *testing.T) {
 	}
 }
 
-func TestIntegrationSplitfuseInvariants(t *testing.T) {
+func TestIntegrationGreedyChunkedInvariants(t *testing.T) {
 	for _, tc := range integrationCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			e := MustNew(Config{
 				Perf:             testPerf(t),
 				Scheduler:        core.MustNewPastFuture(core.PastFutureConfig{Reserved: 0.05, Rng: rng.New(2)}),
-				Strategy:         SplitFuse,
-				SplitFuseBudget:  128,
+				Chunked:          ChunkConfig{Enabled: true, Policy: ChunkGreedyFixed, ChunkTokens: 128},
+				MaxPrefillTokens: 128,
 				CapacityOverride: tc.capacity,
 			})
 			r := rng.New(8)

@@ -28,8 +28,9 @@ type Result struct {
 	// remaining lifecycle (and SLA metrics) conclude on the decode side.
 	HandedOff []*request.Request
 
-	// DecodeSteps counts decode (and splitfuse mixed) iterations — Table 1's
-	// "Decoding Steps" column normalised per run.
+	// DecodeSteps counts decode and chunked iterations (each advances the
+	// running batch by one token) — Table 1's "Decoding Steps" column
+	// normalised per run.
 	DecodeSteps int
 	// PrefillIters counts fused prefill iterations.
 	PrefillIters int

@@ -32,10 +32,10 @@ func TestRoleValidation(t *testing.T) {
 		Perf:      rolePerf(),
 		Scheduler: core.MustNewAggressive(0.95),
 		Role:      engine.RolePrefillOnly,
-		Strategy:  engine.SplitFuse,
+		Strategy:  engine.StaticBatch,
 	}
 	if _, err := engine.New(cfg); err == nil {
-		t.Fatal("prefill-only splitfuse accepted")
+		t.Fatal("prefill-only static-batch accepted")
 	}
 	cfg.Role = engine.RoleDecodeOnly
 	cfg.Strategy = engine.StaticBatch

@@ -38,50 +38,19 @@ func (e *Engine) Step() bool {
 		admitted = e.admit()
 	}
 
-	switch e.cfg.Strategy {
-	case SplitFuse:
-		for _, r := range admitted {
-			need := r.Footprint()
-			if r.Swapped {
-				// Swap recovery needs no chunked recompute; the transfer
-				// cost is charged to the next mixed iteration.
-				e.pendingSwapIn += e.cfg.Perf.SwapTime(need)
-				e.swapInTokens += int64(need)
-				r.Swapped = false
-				need = 0
-			} else if c := r.CachedTokens + r.RestoredTokens; c > 0 {
-				// Prefix-cache hits need no chunked recompute; restored
-				// blocks charge their host-link wire time to the next mixed
-				// iteration, like swap-in. A fully covered prompt (need 0)
-				// joins the running batch immediately.
-				if r.RestoredTokens > 0 {
-					e.pendingSwapIn += e.cfg.Perf.SwapTime(r.RestoredTokens)
-				}
-				need -= c
-			}
-			e.prefilling = append(e.prefilling, &prefillState{req: r, need: need})
-		}
+	switch {
+	case e.cfg.Chunked.Enabled:
+		e.enqueueChunked(admitted)
 		if len(e.running)+len(e.prefilling) > 0 {
-			e.runMixed()
+			e.runChunked()
 			return true
 		}
-	default: // PrefillPriority
-		if e.cfg.Chunked.Enabled {
-			e.enqueueChunked(admitted)
-			if len(e.running)+len(e.prefilling) > 0 {
-				e.runChunked()
-				return true
-			}
-			break
-		}
-		if len(admitted) > 0 {
-			e.runPrefill(admitted)
-			return true
-		}
-		if len(e.running) > 0 {
-			e.runDecode()
-			return true
-		}
+	case len(admitted) > 0:
+		e.runPrefill(admitted)
+		return true
+	case len(e.running) > 0:
+		e.runDecode()
+		return true
 	}
 
 	// Nothing is running and nothing was admitted.
@@ -167,7 +136,7 @@ func (e *Engine) admit() []*request.Request {
 	if n <= 0 {
 		return nil
 	}
-	if e.cfg.Strategy == PrefillPriority && e.cfg.MaxPrefillTokens > 0 && !e.cfg.Chunked.Enabled {
+	if e.cfg.MaxPrefillTokens > 0 && !e.cfg.Chunked.Enabled {
 		// Chunked prefill repurposes MaxPrefillTokens as the per-iteration
 		// chunk budget instead of an admission trim: admissions reserve KV
 		// immediately and their prompts land chunk by chunk.
@@ -423,75 +392,6 @@ func (e *Engine) runDecode() {
 	e.completeDone()
 	e.observe(e.clock)
 	e.iterationHook("decode", dur, n)
-}
-
-// runMixed executes one splitfuse iteration: all running requests decode one
-// token, and leftover token budget advances queued prompt chunks.
-func (e *Engine) runMixed() {
-	decodeTokens := len(e.running)
-	budget := e.cfg.SplitFuseBudget
-	if budget < decodeTokens {
-		budget = decodeTokens // decode always proceeds
-	}
-	chunk := budget - decodeTokens
-	chunkUsed := 0
-	var finishedPrefills []*request.Request
-	for _, p := range e.prefilling {
-		if p.need == 0 { // swapped-in request: ready immediately
-			finishedPrefills = append(finishedPrefills, p.req)
-			continue
-		}
-		if chunk == 0 {
-			continue
-		}
-		take := p.need
-		if take > chunk {
-			take = chunk
-		}
-		p.need -= take
-		chunk -= take
-		chunkUsed += take
-		if p.need == 0 {
-			finishedPrefills = append(finishedPrefills, p.req)
-		}
-	}
-	// Drop completed prefills from the chunk pipeline (FIFO prefix).
-	remaining := e.prefilling[:0]
-	for _, p := range e.prefilling {
-		if p.need > 0 {
-			remaining = append(remaining, p)
-		}
-	}
-	e.prefilling = remaining
-
-	e.ensureExtendable(e.running)
-
-	computeTokens := decodeTokens + chunkUsed
-	kvTokens := e.pool.UsedTokens() + len(e.running)
-	dur := e.scaled(e.cfg.Perf.MixedTime(computeTokens, kvTokens) + e.pendingSwapIn)
-	e.prefillComputeTokens += int64(chunkUsed)
-	e.pendingSwapIn = 0
-	e.clock += dur
-	e.mixedIters++
-	e.decodeSteps++ // a mixed iteration advances decoding by one step
-
-	for _, r := range e.running {
-		if !e.pool.Extend(r.ID, 1) {
-			e.requeue(r) // defensive; ensureExtendable guarantees space
-			continue
-		}
-		r.EmitToken(e.clock)
-		if e.hooks.onToken != nil {
-			e.hooks.onToken(e.clock, r)
-		}
-		e.outputTokens++
-	}
-	// Fully chunked prompts join the running batch; their first token is
-	// emitted on the next mixed iteration, like prefill-priority admission.
-	e.running = append(e.running, finishedPrefills...)
-	e.completeDone()
-	e.observe(e.clock)
-	e.iterationHook("mixed", dur, computeTokens)
 }
 
 // requeue returns a request to the queue front after a failed extension.

@@ -1,6 +1,6 @@
 // Package frameworks provides emulation presets for the serving frameworks
 // the paper compares in §5.4 (Figure 9): each preset is the combination of
-// scheduling policy, KV allocation granularity, iteration strategy, kernel
+// scheduling policy, KV allocation granularity, prefill chunking, kernel
 // speed multiplier, and per-iteration overhead that characterises the
 // framework's scheduling-visible behaviour (December-2023 versions, like the
 // paper):
@@ -9,8 +9,8 @@
 //     prefill-priority, multi-process async router (low overhead).
 //   - vLLM: aggressive scheduler, PagedAttention (16-token blocks).
 //   - TGI: conservative scheduler (input + max_new_tokens budgeting).
-//   - DeepSpeed-MII (FastGen): conservative scheduler + splitfuse chunked
-//     prefill.
+//   - DeepSpeed-MII (FastGen): conservative scheduler + Dynamic SplitFuse,
+//     emulated as greedy fixed-size chunked prefill.
 //   - TensorRT-LLM: conservative scheduler over fast static kernels.
 //
 // The paper's point — and what these presets preserve — is that end-to-end
@@ -38,9 +38,6 @@ const (
 	Aggressive
 	// Conservative is the TGI/MII/TRT-LLM-style worst-case scheduler.
 	Conservative
-	// OracleSched is the theoretical optimum (not a real framework; used by
-	// Table 1).
-	OracleSched
 )
 
 // Preset describes one emulated framework.
@@ -53,8 +50,11 @@ type Preset struct {
 	Param float64
 	// BlockSize is the KV allocation granularity.
 	BlockSize int
-	// Strategy is the iteration composition.
-	Strategy engine.Strategy
+	// ChunkTokens, when positive, lands prompts in greedy fixed chunks of
+	// this many tokens, at most one chunk's worth per iteration, each fused
+	// with a decode step (see ApplyChunking). 0 runs fused prefill-priority
+	// iterations.
+	ChunkTokens int
 	// Speedup is the static kernel multiplier fed to the perf model.
 	Speedup float64
 	// IterOverhead is the per-iteration framework overhead in seconds.
@@ -67,28 +67,24 @@ type Preset struct {
 var (
 	LightLLM = Preset{
 		Name: "LightLLM", Kind: PastFuture, Param: 0.03,
-		BlockSize: 1, Strategy: engine.PrefillPriority,
-		Speedup: 1.0, IterOverhead: 0.003,
+		BlockSize: 1, Speedup: 1.0, IterOverhead: 0.003,
 	}
 	VLLM = Preset{
 		Name: "vLLM", Kind: Aggressive, Param: 0.97,
-		BlockSize: 16, Strategy: engine.PrefillPriority,
-		Speedup: 1.0, IterOverhead: 0.004,
+		BlockSize: 16, Speedup: 1.0, IterOverhead: 0.004,
 	}
 	TGI = Preset{
 		Name: "TGI", Kind: Conservative, Param: 1.0,
-		BlockSize: 1, Strategy: engine.PrefillPriority,
-		Speedup: 0.95, IterOverhead: 0.005,
+		BlockSize: 1, Speedup: 0.95, IterOverhead: 0.005,
 	}
 	DeepSpeedMII = Preset{
 		Name: "DeepSpeed-MII", Kind: Conservative, Param: 1.0,
-		BlockSize: 1, Strategy: engine.SplitFuse,
+		BlockSize: 1, ChunkTokens: engine.DefaultChunkTokens,
 		Speedup: 1.0, IterOverhead: 0.004,
 	}
 	TensorRTLLM = Preset{
 		Name: "TensorRT-LLM", Kind: Conservative, Param: 1.0,
-		BlockSize: 1, Strategy: engine.PrefillPriority,
-		Speedup: 1.25, IterOverhead: 0.002,
+		BlockSize: 1, Speedup: 1.25, IterOverhead: 0.002,
 	}
 )
 
@@ -107,8 +103,6 @@ func (p Preset) NewScheduler(r *rng.RNG) (core.Scheduler, error) {
 		return core.NewAggressive(p.Param)
 	case Conservative:
 		return core.NewConservative(p.Param)
-	case OracleSched:
-		return core.NewOracle(), nil
 	default:
 		return nil, fmt.Errorf("frameworks: unknown scheduler kind %d", p.Kind)
 	}
@@ -122,12 +116,8 @@ type DeployOptions struct {
 	SeedHistory []int
 }
 
-// NewEngine builds a ready engine for the preset serving spec on cluster.
-func (p Preset) NewEngine(spec model.Spec, cluster hw.Cluster, seed uint64) (*engine.Engine, error) {
-	return p.NewEngineOpts(spec, cluster, seed, DeployOptions{})
-}
-
-// NewEngineOpts is NewEngine with deployment options.
+// NewEngineOpts builds a ready engine for the preset serving spec on
+// cluster with deployment options.
 func (p Preset) NewEngineOpts(spec model.Spec, cluster hw.Cluster, seed uint64, opts DeployOptions) (*engine.Engine, error) {
 	pm, err := perf.New(perf.Config{
 		Model:        spec,
@@ -142,12 +132,24 @@ func (p Preset) NewEngineOpts(spec model.Spec, cluster hw.Cluster, seed uint64, 
 	if err != nil {
 		return nil, err
 	}
-	return engine.New(engine.Config{
+	cfg := engine.Config{
 		Perf:         pm,
 		Scheduler:    sched,
 		BlockSize:    p.BlockSize,
-		Strategy:     p.Strategy,
 		QueueTimeout: opts.QueueTimeout,
 		SeedHistory:  opts.SeedHistory,
-	})
+	}
+	p.ApplyChunking(&cfg)
+	return engine.New(cfg)
+}
+
+// ApplyChunking switches cfg to the preset's prefill chunking: greedy fixed
+// chunks of ChunkTokens prompt tokens under a per-iteration budget of one
+// chunk. It leaves cfg unchanged when ChunkTokens is 0.
+func (p Preset) ApplyChunking(cfg *engine.Config) {
+	if p.ChunkTokens <= 0 {
+		return
+	}
+	cfg.Chunked = engine.ChunkConfig{Enabled: true, Policy: engine.ChunkGreedyFixed, ChunkTokens: p.ChunkTokens}
+	cfg.MaxPrefillTokens = p.ChunkTokens
 }

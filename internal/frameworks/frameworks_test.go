@@ -3,7 +3,6 @@ package frameworks
 import (
 	"testing"
 
-	"github.com/lightllm-go/lightllm/internal/engine"
 	"github.com/lightllm-go/lightllm/internal/hw"
 	"github.com/lightllm-go/lightllm/internal/model"
 	"github.com/lightllm-go/lightllm/internal/request"
@@ -14,7 +13,7 @@ import (
 func TestAllPresetsBuildEngines(t *testing.T) {
 	cluster := hw.NewCluster(hw.A100_80G, 1)
 	for _, p := range All() {
-		e, err := p.NewEngine(model.Llama2_7B, cluster, 1)
+		e, err := p.NewEngineOpts(model.Llama2_7B, cluster, 1, DeployOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -47,9 +46,20 @@ func TestUnknownKindErrors(t *testing.T) {
 	}
 }
 
-func TestMIIUsesSplitfuse(t *testing.T) {
-	if DeepSpeedMII.Strategy != engine.SplitFuse {
-		t.Fatal("DeepSpeed-MII must use splitfuse")
+func TestMIIRunsChunked(t *testing.T) {
+	// DeepSpeed-MII's Dynamic SplitFuse lands prompts in chunks fused with
+	// decode steps; every other preset runs fused prefill iterations.
+	cluster := hw.NewCluster(hw.A100_80G, 1)
+	for _, p := range All() {
+		e, err := p.NewEngineOpts(model.Llama2_7B, cluster, 1, DeployOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SubmitAll(workload.Build(workload.ShareGPT, rng.New(3), 20, 1, 512))
+		res := e.Run()
+		if chunked := res.ChunkIters > 0; chunked != (p.Name == DeepSpeedMII.Name) {
+			t.Errorf("%s ran %d chunked iterations", p.Name, res.ChunkIters)
+		}
 	}
 	if VLLM.BlockSize != 16 {
 		t.Fatal("vLLM must use 16-token paging blocks")
@@ -65,7 +75,7 @@ func TestMIIUsesSplitfuse(t *testing.T) {
 func TestPresetEnginesServeWork(t *testing.T) {
 	cluster := hw.NewCluster(hw.A100_80G, 1)
 	for _, p := range All() {
-		e, err := p.NewEngine(model.Llama2_7B, cluster, 2)
+		e, err := p.NewEngineOpts(model.Llama2_7B, cluster, 2, DeployOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +117,7 @@ func TestFrameworkThroughputOrdering(t *testing.T) {
 	// lowest among prefill-priority frameworks.
 	cluster := hw.NewCluster(hw.A100_80G, 1)
 	tp := func(p Preset) float64 {
-		e, err := p.NewEngine(model.Llama2_7B, cluster, 5)
+		e, err := p.NewEngineOpts(model.Llama2_7B, cluster, 5, DeployOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -473,8 +473,8 @@ func (c *Collector) Recover(at float64, pool, rep int) {
 	c.pool(at, pool).Recoveries++
 }
 
-// iteration: one engine step (kind "prefill", "decode", "mixed",
-// "chunked" or "static") that started at at-dur and ended at at, with its
+// iteration: one engine step (kind "prefill", "decode", "chunked" or
+// "static") that started at at-dur and ended at at, with its
 // batch size, resident KV bytes after the step, and queue depth after it.
 func (c *Collector) iteration(at float64, pool, rep int, kind string, dur float64, batch int, kvBytes int64, queueLen int) {
 	c.iters = append(c.iters, iterSlice{

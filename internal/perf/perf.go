@@ -9,7 +9,8 @@
 //     the active KV cache, so time grows with the batch's KV footprint;
 //   - each iteration pays a fixed framework overhead (scheduler + launch
 //     latency), which differs between the emulated frameworks;
-//   - splitfuse/chunked-prefill iterations mix both cost terms.
+//   - chunked-prefill iterations mix both cost terms and pay a fixed
+//     overhead per prompt chunk.
 //
 // Efficiency factors (fraction of peak FLOPs/bandwidth achieved) are fixed
 // calibration constants, not fitted per experiment.
@@ -181,19 +182,6 @@ func (m *Model) DecodeTime(batchSize, kvTokens int) float64 {
 	return m.overhead + maxf(compute, memory)
 }
 
-// MixedTime returns the duration of one splitfuse iteration that processes
-// computeTokens tokens of work (decode tokens plus prefill-chunk tokens)
-// against a running KV footprint of kvTokens.
-func (m *Model) MixedTime(computeTokens, kvTokens int) float64 {
-	if computeTokens <= 0 {
-		return 0
-	}
-	compute := float64(computeTokens) * m.spec.FLOPsPerToken() / m.flops
-	bytes := float64(m.spec.WeightBytes()) + float64(kvTokens)*float64(m.spec.KVBytesPerToken())
-	memory := bytes / m.bw
-	return m.overhead + maxf(compute, memory)
-}
-
 // ChunkOverhead returns the fixed per-chunk cost of chunked prefill in
 // seconds. An N-chunk prefill pays N·ChunkOverhead on top of the fused
 // prefill compute, so splitting is never free.
@@ -202,11 +190,12 @@ func (m *Model) ChunkOverhead() float64 { return m.chunkOH }
 // ChunkedTime returns the duration of one chunked-prefill iteration:
 // chunkTokens prompt tokens (across chunks prefill chunks, each paying the
 // per-chunk overhead) fused with a decodeBatch-wide decode step against a
-// running KV footprint of kvTokens. With chunks == 0 it degrades to
-// MixedTime exactly, which is how a pure-decode iteration under chunked
-// scheduling prices identically to DecodeTime.
+// running KV footprint of kvTokens. Its base term is a decode step whose
+// batch is every token of work, prompt chunks included, so with chunks ==
+// 0 a pure-decode iteration under chunked scheduling prices identically to
+// DecodeTime.
 func (m *Model) ChunkedTime(chunkTokens, chunks, decodeBatch, kvTokens int) float64 {
-	t := m.MixedTime(chunkTokens+decodeBatch, kvTokens)
+	t := m.DecodeTime(chunkTokens+decodeBatch, kvTokens)
 	if chunks > 0 {
 		t += float64(chunks) * m.chunkOH
 	}

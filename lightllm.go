@@ -31,6 +31,7 @@ import (
 	"github.com/lightllm-go/lightllm/internal/bench"
 	"github.com/lightllm-go/lightllm/internal/core"
 	"github.com/lightllm-go/lightllm/internal/engine"
+	"github.com/lightllm-go/lightllm/internal/frameworks"
 	"github.com/lightllm-go/lightllm/internal/hw"
 	"github.com/lightllm-go/lightllm/internal/metrics"
 	"github.com/lightllm-go/lightllm/internal/model"
@@ -121,7 +122,8 @@ type ServingConfig struct {
 	// QueueTimeout, when positive, enables SLA-aware client abandonment.
 	QueueTimeout float64
 	// Strategy selects the iteration composition: "" (prefill-priority),
-	// "splitfuse" (DeepSpeed-MII chunked prefill), or "static" (no
+	// "splitfuse" (DeepSpeed-MII's Dynamic SplitFuse: prompts land in
+	// greedy fixed chunks fused with decode steps), or "static" (no
 	// continuous batching — fixed padded batches, Table 2's origin mode).
 	Strategy string
 	// StaticBatchSize is the fixed batch size for the static strategy.
@@ -150,32 +152,28 @@ func NewServing(cfg ServingConfig) (*Engine, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	var strategy engine.Strategy
+	ecfg := engine.Config{
+		Perf:            pm,
+		BlockSize:       cfg.BlockSize,
+		QueueTimeout:    cfg.QueueTimeout,
+		StaticBatchSize: cfg.StaticBatchSize,
+	}
 	switch strings.ToLower(strings.TrimSpace(cfg.Strategy)) {
 	case "", "prefill-priority":
-		strategy = engine.PrefillPriority
 	case "splitfuse":
-		strategy = engine.SplitFuse
+		frameworks.DeepSpeedMII.ApplyChunking(&ecfg)
 	case "static", "static-batch":
-		strategy = engine.StaticBatch
+		ecfg.Strategy = engine.StaticBatch
 	default:
 		return nil, fmt.Errorf("lightllm: unknown strategy %q", cfg.Strategy)
 	}
-	var sched Scheduler
-	if strategy != engine.StaticBatch {
-		sched, err = NewScheduler(cfg.Scheduler, cfg.Param, seed)
+	if ecfg.Strategy != engine.StaticBatch {
+		ecfg.Scheduler, err = NewScheduler(cfg.Scheduler, cfg.Param, seed)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return engine.New(engine.Config{
-		Perf:            pm,
-		Scheduler:       sched,
-		BlockSize:       cfg.BlockSize,
-		QueueTimeout:    cfg.QueueTimeout,
-		Strategy:        strategy,
-		StaticBatchSize: cfg.StaticBatchSize,
-	})
+	return engine.New(ecfg)
 }
 
 // NewScheduler constructs a scheduler by name. param semantics depend on

@@ -1,6 +1,7 @@
 package lightllm
 
 import (
+	"strconv"
 	"testing"
 )
 
@@ -32,6 +33,38 @@ func TestNewServingErrors(t *testing.T) {
 	}
 	if _, err := NewServing(ServingConfig{Model: "Llama2-7B-Chat", GPU: "A100-80G", Scheduler: "wat"}); err == nil {
 		t.Fatal("unknown scheduler accepted")
+	}
+}
+
+func TestNewServingStrategies(t *testing.T) {
+	const pf = "past-future(reserved=3%)"
+	for _, tc := range []struct {
+		strategy, scheduler string
+		chunked             bool
+	}{
+		{"", pf, false},
+		{"prefill-priority", pf, false},
+		{"splitfuse", pf, true},
+		{"static", "static-batch", false},
+	} {
+		t.Run(strconv.Quote(tc.strategy), func(t *testing.T) {
+			eng, err := NewServing(ServingConfig{Model: "Llama2-7B-Chat", GPU: "A100-80G", Strategy: tc.strategy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.ChunkedPrefillEnabled() != tc.chunked {
+				t.Fatalf("chunked prefill = %v, want %v", eng.ChunkedPrefillEnabled(), tc.chunked)
+			}
+			eng.SubmitAll(BuildWorkload(ShareGPT, NewRNG(1), 10, 1, 512))
+			res := eng.Run()
+			if len(res.Finished) != 10 || res.Scheduler != tc.scheduler || (res.ChunkIters > 0) != tc.chunked {
+				t.Fatalf("finished %d of 10, scheduler %q, %d chunked iterations",
+					len(res.Finished), res.Scheduler, res.ChunkIters)
+			}
+		})
+	}
+	if _, err := NewServing(ServingConfig{Model: "Llama2-7B-Chat", GPU: "A100-80G", Strategy: "mixed"}); err == nil {
+		t.Fatal("unknown strategy accepted")
 	}
 }
 
