@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check staticcheck layering simbench-build bench bench-fleet bench-scale chaos cover ci
+.PHONY: build test vet fmt-check staticcheck layering simbench-build fuzz-smoke bench bench-fleet bench-scale chaos cover ci
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,13 @@ layering:
 simbench-build:
 	cd simbench && $(GO) vet . && $(GO) build -o /dev/null .
 
+# fuzz-smoke runs each native fuzz target for a short, bounded time on top
+# of its committed seed corpus (testdata/fuzz), which plain `go test` only
+# replays. FuzzWindowSorted drives the history window's in-place sorted
+# mirror through random Add/Sampler sequences against a fresh sort.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzWindowSorted$$' -fuzztime 10s ./internal/dist/
+
 # bench runs the scheduler hot-path micro-benchmarks and records ns/op and
 # allocs/op in BENCH_hotpath.json so future PRs can track the perf
 # trajectory (see ROADMAP.md "Hot path & complexity"), then the fleet-scale
@@ -86,4 +93,4 @@ chaos:
 		-run 'TestFaultConservation|TestNoRecoveryLosesTerminally|TestCrashRecoveryWithoutAdmission|TestFaultsDisabledEquivalence|TestBackoffProperties|TestLinkBusyNeverRegresses|TestCrashEvacuatesEverything|TestPrefixDisabledEquivalence|TestPrefixCacheConservation|TestChunkingDisabledEquivalence|TestChunkedConservation|TestChunkPolicyEquivalence|TestFaultStormReplayChaos' \
 		./internal/cluster/ ./internal/kv/ ./internal/engine/
 
-ci: build vet fmt-check staticcheck layering simbench-build test chaos
+ci: build vet fmt-check staticcheck layering simbench-build test chaos fuzz-smoke

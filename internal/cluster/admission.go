@@ -430,16 +430,14 @@ func (a *admission) floor(r *request.Request) float64 {
 func (a *admission) tryPlace(now float64, r *request.Request) bool {
 	c := a.clu
 	entry := c.pools[c.entry]
-	rep, frac := entry.bestProbe(r, a.cfg.MaxProbe)
-	if frac > a.cfg.MaxProbe {
+	rep := entry.bestProbe(r, a.cfg.MaxProbe)
+	if rep == nil {
 		return false
 	}
-	if c.Disaggregated() {
-		if _, df := c.pools[c.decode].bestProbe(r, a.cfg.DecodeMaxProbe); df > a.cfg.DecodeMaxProbe {
-			return false
-		}
+	if c.Disaggregated() && c.pools[c.decode].bestProbe(r, a.cfg.DecodeMaxProbe) == nil {
+		return false
 	}
-	if entry.cfg.Policy == FutureHeadroom && rep != nil {
+	if entry.cfg.Policy == FutureHeadroom {
 		entry.routeTo(r, rep)
 		a.submit(now, r, rep)
 	} else {
@@ -460,7 +458,7 @@ func (a *admission) submit(now float64, r *request.Request, rep *replica) {
 		c.rec.Place(now, r, c.entry, rep.idx, rep.flv.name)
 	}
 	rep.eng.SubmitAt(r, now)
-	rep.estValid = false
+	rep.invalidate()
 	a.clu.ensureStepEvent(a.clu.pools[a.clu.entry], rep)
 }
 

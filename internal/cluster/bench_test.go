@@ -26,9 +26,10 @@ func benchFleet(b *testing.B, nReplicas int, naive bool) (*Fleet, *request.Reque
 
 // BenchmarkFleetRoute measures one FutureHeadroom routing decision across
 // the fleet — the warm per-replica estimator path (rebuild amortised,
-// PeakWith probes). The companion TestProbeZeroAllocs pins allocs/op to 0.
+// bound-pruned PeakWith probes). 96 replicas is the day-replay benchmark's
+// fleet width. The companion TestProbeZeroAllocs pins allocs/op to 0.
 func BenchmarkFleetRoute(b *testing.B) {
-	for _, n := range []int{4, 16} {
+	for _, n := range []int{4, 16, 96} {
 		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
 			f, cand := benchFleet(b, n, false)
 			f.pick(cand)
@@ -51,7 +52,7 @@ func BenchmarkFleetRouteRebuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, rep := range f.reps {
-			rep.estValid = false
+			rep.invalidate()
 		}
 		f.pick(cand)
 	}

@@ -386,7 +386,7 @@ func (c *Cluster) handleArrival(t float64, req *request.Request) {
 		c.rec.Arrive(req.ArrivalTime, req)
 		c.rec.Place(req.ArrivalTime, req, entry.id, rep.idx, rep.flv.name)
 	}
-	rep.estValid = false
+	rep.invalidate()
 	c.ensureStepEvent(entry, rep)
 }
 
@@ -483,7 +483,7 @@ func (c *Cluster) handle(ev event) {
 		rep.eng.Step()
 		// Invalidate unconditionally: a Step returning false can still have
 		// mutated state (queue-timeout drops run before the drained check).
-		rep.estValid = false
+		rep.invalidate()
 		if rep.draining && p.drained(rep) {
 			p.retire(rep, rep.eng.Clock())
 		}
@@ -744,7 +744,7 @@ func (c *Cluster) deliver(ev event) {
 		c.rec.XferDeliver(ev.at, r, c.decode, rep.idx)
 	}
 	rep.eng.SubmitMigrated(r, ev.at)
-	rep.estValid = false
+	rep.invalidate()
 	c.ensureStepEvent(dp, rep)
 	if c.cfg.OnHandoff != nil {
 		c.cfg.OnHandoff(*h)

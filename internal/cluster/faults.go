@@ -191,6 +191,7 @@ func (c *Cluster) crashReplica(ev event) {
 	p.rebuildAccepting()
 	c.pushEvent(event{at: ev.at + flt.Duration, kind: evRecover, pool: flt.Pool, rep: ev.rep})
 
+	p.settleProbe(rep)
 	orphans := rep.eng.Crash()
 	c.flt.orphaned += len(orphans)
 	if c.rec != nil {
@@ -238,7 +239,7 @@ func (c *Cluster) reenter(now float64, r *request.Request) {
 		c.rec.Place(now, r, entry.id, rep.idx, rep.flv.name)
 	}
 	rep.eng.SubmitAt(r, now)
-	rep.estValid = false
+	rep.invalidate()
 	c.ensureStepEvent(entry, rep)
 }
 

@@ -174,12 +174,40 @@ type replica struct {
 
 	// Warm probe state: est holds QuantileEntry for every running and
 	// queued request, rebuilt lazily after the replica's state changes.
+	// curSum is ΣCurrent over the same requests — the sampler-free part of
+	// bestProbe's lower bound — valid while curValid. invalidate clears
+	// both; ensureEst sets both.
 	est      core.PeakEstimator
 	sampler  *dist.Sampler
 	estValid bool
+	curSum   int
+	curValid bool
 
 	activeAt   float64 // when the current active span began
 	activeSecs float64 // closed active spans (replica-seconds accounting)
+}
+
+// invalidate marks the replica's probe state stale after its engine's state
+// changed (a step, a submitted or delivered request): the estimator and the
+// bound's ΣCurrent are recomputed together on the next probe.
+func (rep *replica) invalidate() {
+	rep.estValid = false
+	rep.curValid = false
+}
+
+// probeStats counts the FutureHeadroom routing probe's work over the pool's
+// life. Every bestProbe call accounts for each accepting replica exactly
+// once, as a probe or as a pruned replica.
+type probeStats struct {
+	// probes counts replicas bestProbe evaluated exactly: a PeakWith on the
+	// replica's estimator, rebuilt first when stale.
+	probes int
+	// pruned counts replicas bestProbe skipped because their lower bound
+	// showed they could not pass the gate or beat the best replica so far.
+	pruned int
+	// rebuilds counts estimator rebuilds, from every caller (routing probes,
+	// decode picks, reactive load).
+	rebuilds int
 }
 
 // Pool owns one role's replicas: routing, warm probe state, and scaling
@@ -195,6 +223,9 @@ type Pool struct {
 
 	rr        int
 	accepting []*replica // active, awake, not draining; index order
+
+	probeOrder []probeCand // bestProbe scratch, reused across calls
+	stats      probeStats
 
 	plan          *planner
 	planScheduled bool
@@ -541,8 +572,7 @@ func (p *Pool) pick(req *request.Request) *replica {
 	case FutureHeadroom:
 		// The ungated placement argmin: cands is non-empty, so it is never
 		// nil.
-		best, _ := p.bestProbe(req, math.Inf(1))
-		return best
+		return p.bestProbe(req, math.Inf(1))
 	default: // RoundRobin — rotation starts at the first accepting replica
 		rep := cands[p.rr%len(cands)]
 		p.rr++
@@ -596,13 +626,35 @@ func betterFit(fits bool, score float64, bestFits bool, bestScore float64) bool 
 	return score < bestScore
 }
 
+// probeKey is bestProbe's argmin key: (fits, speed-normalized score) under
+// betterFit, then the lower replica index, so the winner is the one the
+// index-order first-wins scan would choose.
+type probeKey struct {
+	fits  bool
+	score float64
+	idx   int
+}
+
+func (k probeKey) less(o probeKey) bool {
+	if k.fits != o.fits || k.score != o.score {
+		return betterFit(k.fits, k.score, o.fits, o.score)
+	}
+	return k.idx < o.idx
+}
+
+// probeCand is one replica in a bestProbe sweep: its affinity bonus and the
+// optimistic key its lower bound allows.
+type probeCand struct {
+	rep *replica
+	aff float64
+	opt probeKey
+}
+
 // bestProbe returns the (fits, speed-normalized score) argmin among
 // accepting replicas whose *raw* probe fraction passes the admission gate,
-// together with the smallest raw fraction across all accepting replicas —
-// the gate's signal: some replica can take the request iff that minimum is
-// at or under the gate. gate = +Inf is pick()'s FutureHeadroom argmin
-// ((nil, +Inf) when no replica accepts, e.g. everything is still
-// activating), so a placement reusing the returned replica is
+// or nil when no replica passes — the gate's signal. gate = +Inf is pick()'s
+// FutureHeadroom argmin (nil only when no replica accepts, e.g. everything
+// is still activating), so a placement reusing the returned replica is
 // decision-identical to routing again. A finite gate restricts the argmin
 // to gate-passing replicas, which can diverge from pick() in a
 // heterogeneous pool (a fast replica over the gate but under 1.0 is
@@ -610,24 +662,60 @@ func betterFit(fits bool, score float64, bestFits bool, bestScore float64) bool 
 // In a single-flavor pool score == fraction and fits is a threshold on that
 // same fraction, so the qualifying argmin coincides with the pre-flavor
 // raw-fraction behavior whenever the gate passes at all.
-func (p *Pool) bestProbe(req *request.Request, gate float64) (*replica, float64) {
-	var bestRep *replica
-	bestFits, bestScore, minFrac := false, math.Inf(1), math.Inf(1)
+//
+// The sweep is a branch and bound that returns exactly the exhaustive
+// argmin. A replica's probe is PeakWith, which is never below ΣCurrent of
+// its batch and queue plus the candidate's Current (every Remaining is
+// clamped ≥ 0); that bound needs no sampler and no estimator. Replicas whose
+// bound is over the gate are skipped outright. The replica with the best
+// optimistic key — the key its bound allows — is probed first, so the
+// incumbent is strong from the start; every other replica is probed only
+// if its optimistic key beats the best exact key so far, and otherwise
+// skipped without rebuilding its estimator. The naiveProbe reference
+// computes no bound and probes every replica.
+func (p *Pool) bestProbe(req *request.Request, gate float64) *replica {
+	candCur := core.EntryCurrent(req)
+	cands := p.probeOrder[:0]
+	first := -1
 	for _, rep := range p.accepting {
-		f := p.probe(rep, req)
-		if f < minFrac {
-			minFrac = f
+		lb := math.Inf(-1) // the naive reference: nothing is ever pruned
+		if !p.cfg.naiveProbe {
+			lb = float64(p.probeCurrent(rep)+candCur) / float64(rep.eng.Pool().CapacityTokens())
+			if lb > gate {
+				p.stats.pruned++
+				continue
+			}
 		}
+		aff := p.affinity(rep, req)
+		opt := probeKey{fits: lb <= 1, score: lb/rep.flv.relSpeed - aff, idx: rep.idx}
+		if first < 0 || opt.less(cands[first].opt) {
+			first = len(cands)
+		}
+		cands = append(cands, probeCand{rep: rep, aff: aff, opt: opt})
+	}
+	p.probeOrder = cands
+	if first < 0 {
+		return nil
+	}
+	cands[0], cands[first] = cands[first], cands[0]
+	var bestRep *replica
+	var best probeKey
+	for _, c := range cands {
+		if bestRep != nil && !c.opt.less(best) {
+			p.stats.pruned++
+			continue
+		}
+		p.stats.probes++
+		f := p.probe(c.rep, req)
 		if f > gate {
 			continue
 		}
-		fits := f <= 1
-		score := f/rep.flv.relSpeed - p.affinity(rep, req)
-		if bestRep == nil || betterFit(fits, score, bestFits, bestScore) {
-			bestRep, bestFits, bestScore = rep, fits, score
+		k := probeKey{fits: f <= 1, score: f/c.rep.flv.relSpeed - c.aff, idx: c.rep.idx}
+		if bestRep == nil || k.less(best) {
+			bestRep, best = c.rep, k
 		}
 	}
-	return bestRep, minFrac
+	return bestRep
 }
 
 // affinity is the prefix-cache routing bonus subtracted from a replica's
@@ -693,19 +781,50 @@ func (p *Pool) load(rep *replica) float64 {
 }
 
 // ensureEst rebuilds a replica's warm estimator if its engine stepped or
-// received a request since the last probe.
+// received a request since the last probe, refreshing ΣCurrent with it.
 func (p *Pool) ensureEst(rep *replica) {
 	if rep.estValid {
 		return
 	}
 	rep.sampler = rep.eng.History().Sampler()
 	rep.est.Reset()
+	sum := 0
 	push := func(r *request.Request) {
-		rep.est.Push(core.QuantileEntry(r, rep.sampler, p.cfg.Quantile))
+		e := core.QuantileEntry(r, rep.sampler, p.cfg.Quantile)
+		sum += e.Current
+		rep.est.Push(e)
 	}
 	rep.eng.ForEachRunning(push)
 	rep.eng.ForEachQueued(push)
+	rep.curSum, rep.curValid = sum, true
 	rep.estValid = true
+	p.stats.rebuilds++
+}
+
+// probeCurrent returns ΣCurrent over a replica's running and queued
+// requests, summed once per state change: an O(B) pass with no sampler
+// and no sort.
+func (p *Pool) probeCurrent(rep *replica) int {
+	if !rep.curValid {
+		sum := 0
+		add := func(r *request.Request) { sum += core.EntryCurrent(r) }
+		rep.eng.ForEachRunning(add)
+		rep.eng.ForEachQueued(add)
+		rep.curSum, rep.curValid = sum, true
+	}
+	return rep.curSum
+}
+
+// settleProbe builds a replica's estimator when its ΣCurrent was taken
+// from the current engine state but the estimator was not, so both come
+// from one state. A crash calls it before emptying the engine: the crash
+// does not invalidate the replica's probe state, and a later lazy build
+// would otherwise read the emptied engine while ΣCurrent still counted the
+// lost requests.
+func (p *Pool) settleProbe(rep *replica) {
+	if rep.curValid && !rep.estValid {
+		p.ensureEst(rep)
+	}
 }
 
 // reactiveScale applies the high/low-water policy on the mean predicted

@@ -106,17 +106,6 @@ func FutureRequiredMemory(entries []Entry) int {
 	return peak
 }
 
-// futurePeakWithCandidate computes M* for entries plus one extra candidate
-// without mutating entries — the naive per-candidate path (one allocation
-// and a full re-sort per call), kept as the PeakEstimator's reference
-// baseline for benchmarks and cross-check tests.
-func futurePeakWithCandidate(entries []Entry, cand Entry) int {
-	tmp := make([]Entry, len(entries)+1)
-	copy(tmp, entries)
-	tmp[len(entries)] = cand
-	return FutureRequiredMemory(tmp)
-}
-
 // TrueFutureRequiredMemory returns the ground-truth M* of a batch — what the
 // batch will actually need. The metrics layer records this after every
 // admission (Table 1's "Future Required Memory"); a value above capacity
@@ -170,8 +159,14 @@ func QuantileEntry(r *request.Request, sampler *dist.Sampler, quantile float64) 
 	pred := QuantilePrediction(r, sampler, quantile)
 	// Chunked prefill: only KVLanded() is resident now; the unprefilled
 	// tail rides in Remaining so the projected peak is unchanged.
-	return Entry{Current: r.KVLanded() - r.CachedTokens, Remaining: pred - r.Generated + r.PrefillRemaining()}
+	return Entry{Current: EntryCurrent(r), Remaining: pred - r.Generated + r.PrefillRemaining()}
 }
+
+// EntryCurrent is QuantileEntry's Current term: the request's landed KV
+// less its prefix-cache hits. It needs no sampler, so callers can bound a
+// batch's peak from below before building its estimator: every Remaining is
+// clamped ≥ 0, so M* of a batch is never below the sum of its Currents.
+func EntryCurrent(r *request.Request) int { return r.KVLanded() - r.CachedTokens }
 
 // PredictedBatchPeak estimates a batch's future peak memory from the
 // history window using deterministic conditional-quantile predictions —

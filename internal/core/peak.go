@@ -139,7 +139,7 @@ func (pe *PeakEstimator) Peak() int {
 
 // PeakWith returns M* of the pushed entries plus one hypothetical candidate,
 // without mutating the estimator. It is bit-identical to
-// futurePeakWithCandidate over the same entries.
+// FutureRequiredMemory over the same entries plus the candidate.
 func (pe *PeakEstimator) PeakWith(cand Entry) int {
 	if cand.Remaining < 0 {
 		cand.Remaining = 0

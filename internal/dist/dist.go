@@ -4,20 +4,31 @@
 //
 // # Cached-CDF design
 //
-// The window is a fixed-capacity ring buffer: Add is O(1), and once the
-// window is full the oldest observation is evicted, so the distribution
-// tracks workload drift (the paper's API-trace observation). The empirical
-// CDF — a sorted copy of the window contents — is NOT rebuilt on every
-// mutation. Instead the window carries a generation counter that increments
-// on every Add, and Sampler() rebuilds the sorted array lazily, only when
-// the generation has moved since the last rebuild. The admission loop calls
+// The window is a fixed-capacity ring buffer: once it is full the oldest
+// observation is evicted, so the distribution tracks workload drift (the
+// paper's API-trace observation). Alongside the ring the window keeps a
+// sorted mirror of its contents, built the same way core.PeakEstimator
+// builds its order: while the mirror has never been asked for, Add only
+// writes the ring, and the first Sampler() call sorts the contents once.
+// From then on Add keeps the mirror sorted in place — the evicted value is
+// found by binary search and the new value inserted by binary search, with
+// one copy shifting the values between the two slots — so the mirror never
+// needs a full re-sort. Deferring the build keeps bulk loading (a seeded
+// history, a cold window filling up) at O(1) per Add.
+//
+// Sampler() hands out a snapshot of the mirror. The window carries a
+// generation counter that increments on every Add, and the snapshot is
+// refreshed — an O(n) copy of the already-sorted mirror — only when the
+// generation has moved since the last call. The admission loop calls
 // Sampler() once per scheduling step (and once per service class in
-// per-class mode) while the window mutates only when a request finishes, so
-// in steady state most steps reuse the cached CDF and pay nothing.
+// per-class mode) while the window mutates only when a request finishes,
+// so in steady state most steps reuse the snapshot and pay nothing. A held
+// snapshot never changes under its holder: Add touches only the mirror,
+// and the snapshot moves only at the next Sampler() call.
 //
 // A sorted array IS the empirical CDF: the value at rank i has cumulative
 // probability (i+1)/n. Every query therefore runs in O(log n) binary search
-// (or O(1) indexing) over the cached array:
+// (or O(1) indexing) over the snapshot:
 //
 //   - Sample draws uniformly over the window (an i.i.d. draw from P(l)),
 //   - Quantile returns the smallest value whose CDF reaches q,
@@ -27,18 +38,26 @@
 //     remains above the conditioning point,
 //   - Max returns the window's support maximum.
 //
-// The rebuild itself is O(n log n) into a buffer reused across rebuilds, so
-// a warm Window/Sampler pair performs zero heap allocations — a requirement
-// of the engine's allocation-free scheduling hot path.
+// The mirror and the snapshot grow to the window's capacity once and are
+// reused from then on, so a warm Window/Sampler pair performs zero heap
+// allocations — a requirement of the engine's allocation-free scheduling
+// hot path.
 package dist
 
+import "sort"
+
 // Window is a fixed-capacity sliding window of observed output lengths with
-// a lazily rebuilt, generation-cached Sampler. Not safe for concurrent use.
+// a sorted mirror kept current in place and a generation-cached Sampler.
+// Not safe for concurrent use.
 type Window struct {
 	buf  []int // ring buffer
 	head int   // index of the oldest observation
 	n    int   // observations currently held
 	gen  uint64
+
+	// sorted mirrors the ring's contents in ascending order once built by
+	// the first Sampler() call; until then it is nil and Add skips it.
+	sorted []int
 
 	samp     Sampler
 	rebuilds int // sampler rebuild count (cache-effectiveness tests)
@@ -54,16 +73,64 @@ func NewWindow(capacity int) *Window {
 }
 
 // Add records one observation, evicting the oldest when the window is full,
-// and invalidates the cached sampler.
+// and invalidates the cached sampler. Once the sorted mirror exists it is
+// updated in place: O(log n) searches plus one copy of the values between
+// the evicted and the inserted slot.
 func (w *Window) Add(v int) {
 	if w.n < len(w.buf) {
 		w.buf[(w.head+w.n)%len(w.buf)] = v
 		w.n++
+		if w.sorted != nil {
+			w.insertSorted(v)
+		}
 	} else {
+		old := w.buf[w.head]
 		w.buf[w.head] = v
 		w.head = (w.head + 1) % len(w.buf)
+		if w.sorted != nil {
+			w.replaceSorted(old, v)
+		}
 	}
 	w.gen++
+}
+
+// insertSorted inserts v into the mirror at its ascending rank.
+// The mirror was allocated at capacity, so the append never reallocates.
+func (w *Window) insertSorted(v int) {
+	s := append(w.sorted, 0)
+	j := sort.SearchInts(s[:len(s)-1], v)
+	copy(s[j+1:], s[j:len(s)-1])
+	s[j] = v
+	w.sorted = s
+}
+
+// replaceSorted removes one occurrence of old from the mirror and inserts
+// v, shifting only the values between the two slots.
+func (w *Window) replaceSorted(old, v int) {
+	s := w.sorted
+	i := sort.SearchInts(s, old) // s[i] == old: old is in the window
+	j := sort.SearchInts(s, v)
+	if j > i {
+		// v ranks after old's slot: shift s[i+1:j] down one.
+		copy(s[i:j-1], s[i+1:j])
+		s[j-1] = v
+	} else {
+		// v ranks at or before old's slot: shift s[j:i] up one.
+		copy(s[j+1:i+1], s[j:i])
+		s[j] = v
+	}
+}
+
+// buildSorted allocates the mirror at the window's capacity and fills it
+// from the ring with one sort: the first Sampler() call's cost, paid once
+// per window. NewWindow does not allocate it, so windows that are built but
+// never sampled, and bulk loads before the first sample, cost nothing here.
+func (w *Window) buildSorted() {
+	w.sorted = make([]int, w.n, len(w.buf))
+	for i := 0; i < w.n; i++ {
+		w.sorted[i] = w.buf[(w.head+i)%len(w.buf)]
+	}
+	sort.Ints(w.sorted)
 }
 
 // Len returns the number of observations currently held.
@@ -86,12 +153,16 @@ func (w *Window) Values() []int {
 	return out
 }
 
-// Sampler returns the sampler over the window's current contents, rebuilding
-// the cached CDF only if the window has mutated since the last call. The
-// returned pointer aliases the window's cache: it remains valid until the
-// next Sampler() call that follows a mutation, which is exactly the
-// per-scheduling-step usage pattern of the admission loop.
+// Sampler returns the sampler over the window's current contents, copying
+// the sorted mirror only if the window has mutated since the last call (the
+// first call builds the mirror). The returned pointer aliases the window's
+// cache: its contents stay fixed until the next Sampler() call that follows
+// a mutation, which is exactly the per-scheduling-step usage pattern of the
+// admission loop.
 func (w *Window) Sampler() *Sampler {
+	if w.sorted == nil {
+		w.buildSorted()
+	}
 	if !w.samp.valid || w.samp.gen != w.gen {
 		w.samp.rebuild(w)
 		w.rebuilds++

@@ -17,16 +17,13 @@ type Sampler struct {
 	valid  bool
 }
 
-// rebuild refreshes the snapshot from the window, reusing the sorted buffer.
+// rebuild refreshes the snapshot from the window's sorted mirror: an O(n)
+// copy into the reused buffer, no sort.
 func (s *Sampler) rebuild(w *Window) {
-	if cap(s.sorted) < w.n {
-		s.sorted = make([]int, w.n)
+	if s.sorted == nil {
+		s.sorted = make([]int, 0, len(w.buf))
 	}
-	s.sorted = s.sorted[:w.n]
-	for i := 0; i < w.n; i++ {
-		s.sorted[i] = w.buf[(w.head+i)%len(w.buf)]
-	}
-	sort.Ints(s.sorted)
+	s.sorted = append(s.sorted[:0], w.sorted...)
 	s.gen = w.gen
 	s.valid = true
 }

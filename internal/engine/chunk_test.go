@@ -102,8 +102,8 @@ func TestChunkedPrefillConservation(t *testing.T) {
 }
 
 // TestChunkPolicyEquivalence is the decision-equivalence cross-check
-// mirroring the naive probe and NaivePeak: the SLO-aware sizer degenerated
-// to a fixed window (Min = Max = ChunkTokens) must make bit-identical
+// mirroring the naive probe and naive admission twins: the SLO-aware sizer
+// degenerated to a fixed window (Min = Max = ChunkTokens) must make bit-identical
 // decisions to the greedy fixed-chunk reference on the same workload —
 // same clocks, same chunk counts, same per-request timings.
 func TestChunkPolicyEquivalence(t *testing.T) {

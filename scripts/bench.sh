@@ -36,20 +36,31 @@ run_micro() {
 	go test -run '^$' -bench 'BenchmarkPrefixMatch' \
 		-benchmem ./internal/kv/ | tee -a "$tmp"
 
-	awk '
-	BEGIN { print "["; first = 1 }
+	# Benchmark names carry a -GOMAXPROCS suffix when GOMAXPROCS != 1:
+	# strip it so names compare across hosts, and record it (with the CPU
+	# count) next to the numbers, which compare only across hosts of the
+	# same shape.
+	ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
+	awk -v ncpu="$ncpu" '
+	BEGIN { procs = 1; n = 0 }
 	/^Benchmark/ {
 		name = $1; ns = ""; allocs = "null"
+		if (match(name, /-[0-9]+$/)) {
+			procs = substr(name, RSTART + 1)
+			name = substr(name, 1, RSTART - 1)
+		}
 		for (i = 2; i <= NF; i++) {
 			if ($i == "ns/op") ns = $(i - 1)
 			if ($i == "allocs/op") allocs = $(i - 1)
 		}
 		if (ns == "") next
-		if (!first) printf(",\n")
-		first = 0
-		printf("  {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s}", name, ns, allocs)
+		rows[n++] = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s}", name, ns, allocs)
 	}
-	END { print "\n]" }
+	END {
+		printf("{\n  \"num_cpu\": %s,\n  \"gomaxprocs\": %s,\n  \"benchmarks\": [\n", ncpu, procs)
+		for (i = 0; i < n; i++) printf("%s%s\n", rows[i], (i < n - 1) ? "," : "")
+		print "  ]\n}"
+	}
 	' "$tmp" > "$out"
 
 	echo "wrote $out"
