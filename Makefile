@@ -51,9 +51,13 @@ simbench-build:
 # fuzz-smoke runs each native fuzz target for a short, bounded time on top
 # of its committed seed corpus (testdata/fuzz), which plain `go test` only
 # replays. FuzzWindowSorted drives the history window's in-place sorted
-# mirror through random Add/Sampler sequences against a fresh sort.
+# mirror through random Add/Sampler sequences against a fresh sort;
+# FuzzPoolOps drives the KV pool (slab handles, prefix cache, offload
+# store) through random Allocate/AllocatePrefixed/Extend/Free sequences
+# against a map-based model.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWindowSorted$$' -fuzztime 10s ./internal/dist/
+	$(GO) test -run '^$$' -fuzz '^FuzzPoolOps$$' -fuzztime 10s ./internal/kv/
 
 # bench runs the scheduler hot-path micro-benchmarks and records ns/op and
 # allocs/op in BENCH_hotpath.json so future PRs can track the perf

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 
+	"github.com/lightllm-go/lightllm/internal/kv"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
 
@@ -139,7 +140,7 @@ func (e *Engine) runChunked() {
 	e.decodeSteps++ // a chunked iteration advances decoding by one step
 
 	for _, r := range e.running {
-		if !e.pool.Extend(r.ID, 1) {
+		if !e.pool.Extend(kv.Handle(r.KVHandle), r.ID, 1) {
 			e.requeue(r) // defensive; ensureExtendable guarantees space
 			continue
 		}

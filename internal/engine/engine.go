@@ -793,14 +793,14 @@ func (e *Engine) Crash() []*request.Request {
 	}
 	e.running = e.running[:0]
 	for _, p := range e.prefilling {
-		if e.pool.Allocated(p.req.ID) {
+		if p.req.KVHandle != 0 {
 			e.free(p.req)
 		}
 		orphans = append(orphans, p.req)
 	}
 	e.prefilling = e.prefilling[:0]
 	for _, r := range e.staticBatch {
-		if e.pool.Allocated(r.ID) {
+		if r.KVHandle != 0 {
 			e.free(r)
 		}
 		orphans = append(orphans, r)

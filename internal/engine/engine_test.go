@@ -591,3 +591,32 @@ func TestStepZeroAllocsNilRecorder(t *testing.T) {
 		t.Fatalf("recorder-disabled Step allocates %v per op, want 0", allocs)
 	}
 }
+
+// BenchmarkDecodeStep measures one warm, steady-state decode step over a
+// 48-request batch (the paper-closedloop batch size): per running request,
+// the extend-need check, the one-token Extend and the token emission. The
+// requests never finish within a run and the pool never fills, so every
+// measured Step is a pure decode iteration. Must stay 0 allocs/op.
+func BenchmarkDecodeStep(b *testing.B) {
+	const batch = 48
+	pm := perf.MustNew(perf.Config{Model: model.Llama2_7B, Cluster: hw.NewCluster(hw.A100_80G, 1)})
+	e := MustNew(Config{
+		Perf:             pm,
+		Scheduler:        core.MustNewAggressive(0.99),
+		CapacityOverride: 1 << 40,
+	})
+	for i := 0; i < batch; i++ {
+		e.Submit(request.New(int64(i+1), 200+10*i, 1<<40, 1<<40, 0))
+	}
+	for i := 0; i < 10; i++ {
+		e.Step() // admit and prefill the whole batch, then warm up
+	}
+	if len(e.running) != batch || e.queue.Len() != 0 {
+		b.Fatalf("warm batch holds %d running, %d queued; want %d, 0", len(e.running), e.queue.Len(), batch)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

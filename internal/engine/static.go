@@ -1,6 +1,9 @@
 package engine
 
-import "github.com/lightllm-go/lightllm/internal/request"
+import (
+	"github.com/lightllm-go/lightllm/internal/kv"
+	"github.com/lightllm-go/lightllm/internal/request"
+)
 
 // stepStatic executes one iteration of the static-batching mode (Table 2's
 // "origin" multimodal implementations): fixed-size batches, every prompt
@@ -54,7 +57,8 @@ func (e *Engine) formStaticBatch() bool {
 	}
 	for i := 0; i < take; i++ {
 		r := e.queue.PopFront()
-		if !e.pool.Allocate(r.ID, maxIn) { // padded to the longest prompt
+		r.KVHandle = int32(e.pool.Allocate(r.ID, maxIn)) // padded to the longest prompt
+		if r.KVHandle == 0 {
 			e.failRequest(r)
 			continue
 		}
@@ -88,7 +92,7 @@ func (e *Engine) stepStaticDecode() bool {
 	e.decodeSteps++
 	allDone := true
 	for _, r := range e.staticBatch {
-		e.pool.Extend(r.ID, 1) // padding: every lane grows
+		e.pool.Extend(kv.Handle(r.KVHandle), r.ID, 1) // padding: every lane grows
 		if r.Done() {
 			continue // finished lane, pure padding waste
 		}
@@ -105,7 +109,7 @@ func (e *Engine) stepStaticDecode() bool {
 	if allDone {
 		// Whole batch complete: release all lanes.
 		for _, r := range e.staticBatch {
-			e.pool.Free(r.ID)
+			e.free(r)
 		}
 		e.staticBatch = e.staticBatch[:0]
 	}

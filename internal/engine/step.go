@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
+
 	"github.com/lightllm-go/lightllm/internal/core"
+	"github.com/lightllm-go/lightllm/internal/kv"
 	"github.com/lightllm-go/lightllm/internal/request"
 )
 
@@ -200,8 +203,12 @@ func (e *Engine) admit() []*request.Request {
 // stamped with the tokens its prefill will not re-encode. Migrated and
 // swapped admissions already carry their KV state and bypass the cache.
 func (e *Engine) allocateFor(r *request.Request) bool {
+	if r.KVHandle != 0 {
+		panic(fmt.Sprintf("engine: admitting request %d while it holds KV handle %d", r.ID, r.KVHandle))
+	}
 	if !e.pool.PrefixCacheEnabled() || len(r.PrefixHashes) == 0 || r.Migrated || r.Swapped {
-		return e.pool.Allocate(r.ID, r.Footprint())
+		r.KVHandle = int32(e.pool.Allocate(r.ID, r.Footprint()))
+		return r.KVHandle != 0
 	}
 	restore := 0
 	hitBlocks, offBlocks := e.pool.MatchPrefixDetail(r.PrefixHashes)
@@ -216,10 +223,11 @@ func (e *Engine) allocateFor(r *request.Request) bool {
 			restore = offBlocks
 		}
 	}
-	hit, restored, ok := e.pool.AllocatePrefixed(r.ID, r.Footprint(), r.PrefixHashes, restore)
-	if !ok {
+	h, hit, restored := e.pool.AllocatePrefixed(r.ID, r.Footprint(), r.PrefixHashes, restore)
+	if h == 0 {
 		return false
 	}
+	r.KVHandle = int32(h)
 	r.CachedTokens = hit
 	r.RestoredTokens = restored
 	e.cacheHitTokens += int64(hit)
@@ -227,11 +235,13 @@ func (e *Engine) allocateFor(r *request.Request) bool {
 	return true
 }
 
-// free releases a request's KV allocation together with its prefix-cache
-// stamps: once the allocation is gone the shared blocks are unpinned, so
-// the discount must not survive into the estimators or a re-admission.
+// free releases a request's KV allocation and zeroes its handle, together
+// with its prefix-cache stamps: once the allocation is gone the shared
+// blocks are unpinned, so the discount must not survive into the
+// estimators or a re-admission. It is the only place a handle is cleared.
 func (e *Engine) free(r *request.Request) {
-	e.pool.Free(r.ID)
+	e.pool.Free(kv.Handle(r.KVHandle), r.ID)
+	r.KVHandle = 0
 	r.CachedTokens = 0
 	r.RestoredTokens = 0
 	r.ChunkedPrefill = false
@@ -245,8 +255,8 @@ func (e *Engine) ensureExtendable(grow []*request.Request) {
 	for {
 		need := 0
 		for _, r := range grow {
-			if e.pool.Allocated(r.ID) { // evicted entries drop out
-				need += e.pool.BlocksNeededToExtendByOne(r.ID)
+			if r.KVHandle != 0 { // evicted entries drop out
+				need += e.pool.BlocksNeededToExtendByOne(kv.Handle(r.KVHandle), r.ID)
 			}
 		}
 		// Reclaimable cached blocks count as space: Extend evicts cold cache
@@ -378,7 +388,7 @@ func (e *Engine) runDecode() {
 	e.clock += dur
 	e.decodeSteps++
 	for _, r := range e.running {
-		if !e.pool.Extend(r.ID, 1) {
+		if !e.pool.Extend(kv.Handle(r.KVHandle), r.ID, 1) {
 			// ensureExtendable guarantees space; defensive requeue.
 			e.requeue(r)
 			continue
@@ -396,7 +406,7 @@ func (e *Engine) runDecode() {
 
 // requeue returns a request to the queue front after a failed extension.
 func (e *Engine) requeue(r *request.Request) {
-	if e.pool.Allocated(r.ID) {
+	if r.KVHandle != 0 {
 		e.free(r)
 	}
 	for i, rr := range e.running {

@@ -8,9 +8,33 @@
 // logical token counts; the pool additionally accounts the physical blocks
 // so fragmentation shows up in memory-utilisation metrics and in the
 // block-size ablation.
+//
+// # Handles
+//
+// Allocation records live in a dense slab, not in a map keyed by request
+// id: the decode step extends every running request by one token, and a
+// hash lookup per request per step would be the simulator's largest single
+// cost. Allocate and AllocatePrefixed return a Handle that names the
+// record's slab slot (slot+1, so the zero Handle means "holds nothing").
+// Extend, BlocksNeededToExtendByOne and Free take that handle and index the
+// slab directly. Freed slots go on a stack and are reused, most recent
+// first, before the slab grows; a reused record keeps the capacity of its
+// shared-block slice, so steady-state churn allocates nothing.
+//
+// Every handle operation also takes the owner's request id, which the
+// record stores. A handle that is out of range, names a freed slot, or
+// names another request's record (a stale handle, or one issued by a
+// different pool) panics, as an unknown id did when records were keyed by
+// id. The caller keeps the handle beside the request and zeroes it when it
+// frees. The pool cannot see a second allocation for the same id, so the
+// caller must never allocate for a request that still holds a handle.
 package kv
 
 import "fmt"
+
+// Handle names one live allocation in a Pool. The zero Handle is never
+// issued: it means "no allocation".
+type Handle int32
 
 // Pool is a KV-cache allocator over a fixed number of token slots.
 // It is not safe for concurrent use; the engine owns it single-threaded.
@@ -19,7 +43,12 @@ type Pool struct {
 	blockSize      int
 	totalBlocks    int
 	freeBlocks     int
-	allocs         map[int64]*alloc
+
+	// slab holds the allocation records; Handle h names slab[h-1].
+	// freeSlots is the stack of released slot indices; every other slot
+	// holds a live allocation.
+	slab      []alloc
+	freeSlots []int32
 
 	logicalUsed int // sum of allocated logical tokens
 	peakLogical int
@@ -31,16 +60,19 @@ type Pool struct {
 }
 
 type alloc struct {
-	tokens int // logical tokens allocated privately to the request
-	blocks int // physical blocks backing the private tokens
+	id     int64 // owning request, checked by every handle operation
+	live   bool  // false while the slot sits on the free stack
+	tokens int   // logical tokens allocated privately to the request
+	blocks int   // physical blocks backing the private tokens
 	// shared are the pinned prefix-cache blocks the request references
-	// (nil outside prefix-caching mode). Shared blocks are accounted once
+	// (empty outside prefix-caching mode). Shared blocks are accounted once
 	// pool-wide, not per request.
 	shared []*prefixBlock
 }
 
 // NewPool creates a pool with the given capacity in token slots and block
-// size. Capacity is rounded down to a whole number of blocks.
+// size. Capacity is rounded down to a whole number of blocks. The slab
+// starts empty and grows with the number of concurrent allocations.
 func NewPool(capacityTokens, blockSize int) *Pool {
 	if capacityTokens <= 0 || blockSize <= 0 {
 		panic(fmt.Sprintf("kv: invalid pool capacity=%d blockSize=%d", capacityTokens, blockSize))
@@ -54,7 +86,6 @@ func NewPool(capacityTokens, blockSize int) *Pool {
 		blockSize:      blockSize,
 		totalBlocks:    total,
 		freeBlocks:     total,
-		allocs:         make(map[int64]*alloc),
 	}
 }
 
@@ -95,28 +126,6 @@ func (p *Pool) FragmentationWaste() int {
 // PeakUsedTokens returns the high-water mark of logical usage.
 func (p *Pool) PeakUsedTokens() int { return p.peakLogical }
 
-// Allocated reports whether the request holds an allocation.
-func (p *Pool) Allocated(id int64) bool {
-	_, ok := p.allocs[id]
-	return ok
-}
-
-// AllocatedTokens returns the logical tokens held by the request (0 if
-// none), shared prefix blocks included.
-func (p *Pool) AllocatedTokens(id int64) int {
-	if a, ok := p.allocs[id]; ok {
-		tokens := a.tokens
-		if p.prefix != nil {
-			tokens += len(a.shared) * p.prefix.blockTokens
-		}
-		return tokens
-	}
-	return 0
-}
-
-// ActiveRequests returns the number of live allocations.
-func (p *Pool) ActiveRequests() int { return len(p.allocs) }
-
 func blocksFor(tokens, blockSize int) int {
 	return (tokens + blockSize - 1) / blockSize
 }
@@ -137,33 +146,69 @@ func (p *Pool) availableBlocks() int {
 	return avail
 }
 
-// Allocate reserves tokens slots for the request. It returns false (and
-// changes nothing) if the pool lacks physical space — in prefix-caching
-// mode it first reclaims cached blocks LRU-first. Allocating twice for the
-// same id panics — the engine must Free (eviction) before re-admitting.
-func (p *Pool) Allocate(id int64, tokens int) bool {
+// Allocate reserves tokens slots for the request and returns the handle of
+// the allocation. It returns 0 (and changes nothing) if the pool lacks
+// physical space — in prefix-caching mode it first reclaims cached blocks
+// LRU-first. The caller must not allocate for a request that still holds a
+// handle: the engine must Free (eviction) before re-admitting.
+func (p *Pool) Allocate(id int64, tokens int) Handle {
 	if tokens <= 0 {
 		panic(fmt.Sprintf("kv: allocate %d tokens for request %d", tokens, id))
-	}
-	if _, dup := p.allocs[id]; dup {
-		panic(fmt.Sprintf("kv: double allocation for request %d", id))
 	}
 	need := blocksFor(tokens, p.blockSize)
 	if need > p.freeBlocks {
 		if need > p.availableBlocks() {
-			return false
+			return 0
 		}
 		p.reclaimFor(need)
 	}
 	p.freeBlocks -= need
-	if px := p.prefix; px != nil {
-		p.allocs[id] = px.newAlloc(tokens, need, 0)
-	} else {
-		p.allocs[id] = &alloc{tokens: tokens, blocks: need}
-	}
+	h, _ := p.newRecord(id, tokens, need)
 	p.logicalUsed += tokens
 	p.notePeaks()
-	return true
+	return h
+}
+
+// newRecord claims a slab slot for the request, reusing the most recently
+// freed slot before growing the slab, and returns its handle and record.
+// The record pointer is valid until the slab next grows.
+func (p *Pool) newRecord(id int64, tokens, blocks int) (Handle, *alloc) {
+	var slot int
+	if n := len(p.freeSlots); n > 0 {
+		slot = int(p.freeSlots[n-1])
+		p.freeSlots = p.freeSlots[:n-1]
+	} else {
+		p.slab = append(p.slab, alloc{})
+		slot = len(p.slab) - 1
+	}
+	a := &p.slab[slot]
+	a.id, a.live, a.tokens, a.blocks = id, true, tokens, blocks
+	return Handle(slot + 1), a
+}
+
+// record returns the live allocation h names if it belongs to request id,
+// else nil. Small enough to inline: the per-token callers pay no call.
+func (p *Pool) record(h Handle, id int64) *alloc {
+	if uint(h-1) < uint(len(p.slab)) {
+		if a := &p.slab[h-1]; a.live && a.id == id {
+			return a
+		}
+	}
+	return nil
+}
+
+// badHandle says why h is not request id's live allocation; op names the
+// caller.
+func (p *Pool) badHandle(h Handle, id int64, op string) string {
+	switch {
+	case h <= 0 || int(h) > len(p.slab):
+		return fmt.Sprintf("kv: %s of request %d with unknown handle %d", op, id, h)
+	case !p.slab[h-1].live:
+		return fmt.Sprintf("kv: %s of request %d with freed handle %d", op, id, h)
+	default:
+		return fmt.Sprintf("kv: %s of request %d with handle %d owned by request %d",
+			op, id, h, p.slab[h-1].id)
+	}
 }
 
 // FreeBlocks returns the number of free physical blocks.
@@ -175,41 +220,45 @@ func (p *Pool) FreeBlocks() int { return p.freeBlocks }
 func (p *Pool) AvailableBlocks() int { return p.availableBlocks() }
 
 // BlocksNeededToExtendByOne returns how many new blocks (0 or 1) extending
-// the request by one token would consume. Unknown ids panic.
-func (p *Pool) BlocksNeededToExtendByOne(id int64) int {
-	a, ok := p.allocs[id]
-	if !ok {
-		panic(fmt.Sprintf("kv: extend-need of unallocated request %d", id))
+// request id's allocation h by one token would consume. A handle that is
+// not id's live allocation panics.
+func (p *Pool) BlocksNeededToExtendByOne(h Handle, id int64) int {
+	a := p.record(h, id)
+	if a == nil {
+		panic(p.badHandle(h, id, "extend-need"))
 	}
-	return blocksFor(a.tokens+1, p.blockSize) - a.blocks
+	return p.growBlocks(a, 1)
 }
 
-// CanExtend reports whether growing the request by extra tokens fits
-// (reclaimable cached blocks count as available).
-func (p *Pool) CanExtend(id int64, extra int) bool {
-	a, ok := p.allocs[id]
-	if !ok {
-		return false
+// growBlocks returns the new blocks growing a by extra tokens takes:
+// blocksFor(a.tokens+extra) - a.blocks, without the division when the
+// growth fits in one more block (always, for a one-token decode step).
+func (p *Pool) growBlocks(a *alloc, extra int) int {
+	over := a.tokens + extra - a.blocks*p.blockSize // tokens past the last block
+	switch {
+	case over <= 0:
+		return 0
+	case over <= p.blockSize:
+		return 1
 	}
-	need := blocksFor(a.tokens+extra, p.blockSize) - a.blocks
-	return need <= p.availableBlocks()
+	return blocksFor(over, p.blockSize)
 }
 
-// Extend grows an existing allocation by extra tokens, returning false if
-// physical space is exhausted — in prefix-caching mode it first reclaims
-// cached blocks LRU-first, so decode never stalls behind cold cache.
-// Extending an unknown id panics. Growth is private: generated tokens are
-// never published into the prefix cache (a follow-up turn republishes them
-// as prompt blocks).
-func (p *Pool) Extend(id int64, extra int) bool {
+// Extend grows request id's allocation h by extra tokens, returning false
+// if physical space is exhausted — in prefix-caching mode it first reclaims
+// cached blocks LRU-first, so decode never stalls behind cold cache. A
+// handle that is not id's live allocation panics. Growth is private:
+// generated tokens are never published into the prefix cache (a follow-up
+// turn republishes them as prompt blocks).
+func (p *Pool) Extend(h Handle, id int64, extra int) bool {
 	if extra <= 0 {
 		panic(fmt.Sprintf("kv: extend by %d tokens", extra))
 	}
-	a, ok := p.allocs[id]
-	if !ok {
-		panic(fmt.Sprintf("kv: extend of unallocated request %d", id))
+	a := p.record(h, id)
+	if a == nil {
+		panic(p.badHandle(h, id, "extend"))
 	}
-	need := blocksFor(a.tokens+extra, p.blockSize) - a.blocks
+	need := p.growBlocks(a, extra)
 	if need > p.freeBlocks {
 		if need > p.availableBlocks() {
 			return false
@@ -224,23 +273,25 @@ func (p *Pool) Extend(id int64, extra int) bool {
 	return true
 }
 
-// Free releases the request's allocation and returns the logical tokens it
-// held (shared prefix blocks included). Private blocks return to the free
-// list; shared blocks are unpinned and, once unreferenced, stay resident as
-// reclaimable cache. Freeing an unknown id panics: a double free is an
-// engine bug.
-func (p *Pool) Free(id int64) int {
-	a, ok := p.allocs[id]
-	if !ok {
-		panic(fmt.Sprintf("kv: free of unallocated request %d", id))
+// Free releases request id's allocation h and returns the logical tokens
+// it held (shared prefix blocks included). Private blocks return to the
+// free list; shared blocks are unpinned and, once unreferenced, stay
+// resident as reclaimable cache. The slot goes on the free stack, so h is
+// dead afterwards: freeing or using it again panics, as a freed slot or,
+// once the slot is reused, as another request's record.
+func (p *Pool) Free(h Handle, id int64) int {
+	a := p.record(h, id)
+	if a == nil {
+		panic(p.badHandle(h, id, "free"))
 	}
 	p.freeBlocks += a.blocks
 	p.logicalUsed -= a.tokens
-	delete(p.allocs, id)
 	tokens := a.tokens
 	if p.prefix != nil {
 		tokens += p.releaseShared(a)
 	}
+	a.live, a.tokens, a.blocks = false, 0, 0
+	p.freeSlots = append(p.freeSlots, int32(h-1))
 	return tokens
 }
 
@@ -256,7 +307,18 @@ func (p *Pool) CheckInvariants() error {
 	usedBlocks := 0
 	logical := 0
 	pins := 0
-	for id, a := range p.allocs {
+	live := 0
+	for slot := range p.slab {
+		a := &p.slab[slot]
+		if !a.live {
+			if a.tokens != 0 || a.blocks != 0 || len(a.shared) != 0 {
+				return fmt.Errorf("kv: freed slot %d holds tokens=%d blocks=%d shared=%d",
+					slot, a.tokens, a.blocks, len(a.shared))
+			}
+			continue
+		}
+		live++
+		id := a.id
 		if a.tokens < 0 || a.blocks < 0 || (a.tokens == 0 && len(a.shared) == 0) {
 			return fmt.Errorf("kv: request %d has empty allocation", id)
 		}
@@ -277,6 +339,22 @@ func (p *Pool) CheckInvariants() error {
 		pins += len(a.shared)
 		usedBlocks += a.blocks
 		logical += a.tokens
+	}
+	// Every slot is live or on the free stack: never both, never twice.
+	stacked := make([]bool, len(p.slab))
+	for _, slot := range p.freeSlots {
+		switch {
+		case slot < 0 || int(slot) >= len(p.slab):
+			return fmt.Errorf("kv: free stack holds slot %d outside the slab (len %d)", slot, len(p.slab))
+		case p.slab[slot].live:
+			return fmt.Errorf("kv: free stack holds live slot %d (request %d)", slot, p.slab[slot].id)
+		case stacked[slot]:
+			return fmt.Errorf("kv: free stack holds slot %d twice", slot)
+		}
+		stacked[slot] = true
+	}
+	if live+len(p.freeSlots) != len(p.slab) {
+		return fmt.Errorf("kv: slot leak: %d live + %d stacked != %d slots", live, len(p.freeSlots), len(p.slab))
 	}
 	if px := p.prefix; px != nil {
 		refs, reclaimable := 0, 0

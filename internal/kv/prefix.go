@@ -99,10 +99,10 @@ type prefixState struct {
 
 	stats PrefixStats
 
-	// Freelists keep steady-state churn allocation-free.
+	// Freelists keep steady-state churn allocation-free (allocation
+	// records are reused in place in the pool's slab).
 	blockFree []*prefixBlock
 	offFree   []*offBlock
-	allocFree []*alloc
 }
 
 // EnablePrefixCache switches the pool into prefix-caching mode. It must be
@@ -111,7 +111,7 @@ func (p *Pool) EnablePrefixCache(cfg PrefixConfig) {
 	if p.prefix != nil {
 		panic("kv: prefix cache already enabled")
 	}
-	if len(p.allocs) != 0 {
+	if len(p.slab) != len(p.freeSlots) {
 		panic("kv: prefix cache must be enabled before allocations")
 	}
 	if cfg.BlockTokens <= 0 || cfg.BlockTokens%p.blockSize != 0 {
@@ -208,20 +208,19 @@ func (p *Pool) MatchPrefixDetail(hashes []uint64) (hitBlocks, offloadBlocks int)
 // resident block named in hashes, restoring up to restoreBlocks offloaded
 // blocks, and creating fresh shared blocks for the rest of the hash chain;
 // the uncovered tail (tokens - len(hashes)*BlockTokens) is allocated
-// privately. It returns the tokens served by resident hits and by offload
-// restores — both are prefill the engine does not recompute, but restores
-// pay wire time. Returns ok=false (nothing changed) if the demand exceeds
-// free plus reclaimable memory.
-func (p *Pool) AllocatePrefixed(id int64, tokens int, hashes []uint64, restoreBlocks int) (hitTokens, restoredTokens int, ok bool) {
+// privately. It returns the allocation's handle and the tokens served by
+// resident hits and by offload restores — both are prefill the engine does
+// not recompute, but restores pay wire time. Returns handle 0 (nothing
+// changed) if the demand exceeds free plus reclaimable memory. As with
+// Allocate, the caller must not allocate for a request that still holds a
+// handle.
+func (p *Pool) AllocatePrefixed(id int64, tokens int, hashes []uint64, restoreBlocks int) (handle Handle, hitTokens, restoredTokens int) {
 	px := p.prefix
 	if px == nil {
 		panic("kv: AllocatePrefixed without prefix cache enabled")
 	}
 	if tokens <= 0 {
 		panic(fmt.Sprintf("kv: allocate %d tokens for request %d", tokens, id))
-	}
-	if _, dup := p.allocs[id]; dup {
-		panic(fmt.Sprintf("kv: double allocation for request %d", id))
 	}
 	covered := len(hashes) * px.blockTokens
 	if covered > tokens {
@@ -251,14 +250,17 @@ func (p *Pool) AllocatePrefixed(id int64, tokens int, hashes []uint64, restoreBl
 	private := tokens - covered
 	needPhys := (restores+creates)*px.physPerBlock + blocksFor(private, p.blockSize)
 	if needPhys > p.freeBlocks+(px.freeCnt-unpinnedHits)*px.physPerBlock {
-		return 0, 0, false
+		return 0, 0, 0
 	}
 
 	// Commit in two passes: pin every resident hit first, so the reclaim
 	// loop driven by later restores/creates can never evict a block this
 	// same request is about to share (pinning removes it from the reclaim
 	// list).
-	a := px.newAlloc(private, blocksFor(private, p.blockSize), hits+restores+creates)
+	handle, a := p.newRecord(id, private, blocksFor(private, p.blockSize))
+	if n := hits + restores + creates; cap(a.shared) < n {
+		a.shared = make([]*prefixBlock, 0, n)
+	}
 	for _, h := range hashes {
 		if b, res := px.resident[h]; res {
 			if b.refs == 0 {
@@ -277,10 +279,13 @@ func (p *Pool) AllocatePrefixed(id int64, tokens int, hashes []uint64, restoreBl
 		}
 		if restores < restoreBlocks {
 			if ob, off := px.offload[h]; off {
-				p.reclaimFor(px.physPerBlock)
+				// Take the identity off the store before reclaiming: the
+				// reclaim spills into the store, and a full bounded store
+				// would otherwise drop its oldest entry, ob itself included.
 				px.offRemove(ob)
 				delete(px.offload, h)
 				px.offFree = append(px.offFree, ob)
+				p.reclaimFor(px.physPerBlock)
 				b := px.newBlock(h)
 				px.resident[h] = b
 				p.freeBlocks -= px.physPerBlock
@@ -311,11 +316,10 @@ func (p *Pool) AllocatePrefixed(id int64, tokens int, hashes []uint64, restoreBl
 		p.freeBlocks -= a.blocks
 	}
 	p.logicalUsed += private
-	p.allocs[id] = a
 	px.stats.HitTokens += int64(hitTokens)
 	px.stats.RestoredTokens += int64(restoredTokens)
 	p.notePeaks()
-	return hitTokens, restoredTokens, true
+	return handle, hitTokens, restoredTokens
 }
 
 // DropPrefixCache discards every resident cached block — the crash path: a
@@ -404,23 +408,6 @@ func (px *prefixState) newBlock(hash uint64) *prefixBlock {
 	return b
 }
 
-func (px *prefixState) newAlloc(tokens, blocks, sharedCap int) *alloc {
-	var a *alloc
-	if n := len(px.allocFree); n > 0 {
-		a = px.allocFree[n-1]
-		px.allocFree = px.allocFree[:n-1]
-	} else {
-		a = &alloc{}
-	}
-	a.tokens, a.blocks = tokens, blocks
-	if cap(a.shared) < sharedCap {
-		a.shared = make([]*prefixBlock, 0, sharedCap)
-	} else {
-		a.shared = a.shared[:0]
-	}
-	return a
-}
-
 // releaseShared unpins an allocation's shared blocks at Free time: a block
 // whose last pin drops becomes reclaimable cache (newest end of the LRU)
 // and leaves the logical count. Returns the logical tokens unpinned.
@@ -437,7 +424,6 @@ func (p *Pool) releaseShared(a *alloc) int {
 	}
 	released := len(a.shared) * px.blockTokens
 	a.shared = a.shared[:0]
-	px.allocFree = append(px.allocFree, a)
 	return released
 }
 

@@ -19,16 +19,16 @@ func hashes(n int, salt uint64) []uint64 {
 	return out
 }
 
-func mustPrefixed(t *testing.T, p *Pool, id int64, tokens int, hs []uint64, restore int) (hit, restored int) {
+func mustPrefixed(t *testing.T, p *Pool, id int64, tokens int, hs []uint64, restore int) (h Handle, hit, restored int) {
 	t.Helper()
-	hit, restored, ok := p.AllocatePrefixed(id, tokens, hs, restore)
-	if !ok {
+	h, hit, restored = p.AllocatePrefixed(id, tokens, hs, restore)
+	if h == 0 {
 		t.Fatalf("AllocatePrefixed(%d, %d tokens) failed", id, tokens)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	return hit, restored
+	return h, hit, restored
 }
 
 // TestPrefixSharedAccountedOnce pins the refcounted-accounting rule: two
@@ -38,14 +38,16 @@ func TestPrefixSharedAccountedOnce(t *testing.T) {
 	p := prefixPool(t, 4096, 16, 64, 0)
 	hs := hashes(4, 1) // 256 shared prompt tokens
 
-	if hit, _ := mustPrefixed(t, p, 1, 300, hs, 0); hit != 0 {
+	h1, hit, _ := mustPrefixed(t, p, 1, 300, hs, 0)
+	if hit != 0 {
 		t.Fatalf("cold allocation hit %d tokens", hit)
 	}
 	phys1 := p.PhysicalUsedTokens()
 	if phys1 != 256+48 { // 4 prefix blocks + 44 private tokens in 3 phys blocks
 		t.Fatalf("physical after first = %d", phys1)
 	}
-	if hit, _ := mustPrefixed(t, p, 2, 300, hs, 0); hit != 256 {
+	h2, hit, _ := mustPrefixed(t, p, 2, 300, hs, 0)
+	if hit != 256 {
 		t.Fatalf("second request hit %d tokens, want 256", hit)
 	}
 	// The shared 256 tokens appear once: only request 2's 44 private
@@ -63,7 +65,7 @@ func TestPrefixSharedAccountedOnce(t *testing.T) {
 
 	// Free one sharer: the shared blocks stay (pinned by the other), only
 	// its private tail returns to the free list.
-	if got := p.Free(1); got != 300 {
+	if got := p.Free(h1, 1); got != 300 {
 		t.Fatalf("Free returned %d, want 300", got)
 	}
 	if got := p.PhysicalUsedTokens(); got != phys1 {
@@ -71,7 +73,7 @@ func TestPrefixSharedAccountedOnce(t *testing.T) {
 	}
 	// Free the last sharer: blocks become reclaimable cache — physically
 	// resident, logically free, not fragmentation.
-	p.Free(2)
+	p.Free(h2, 2)
 	if got := p.ReclaimableTokens(); got != 256 {
 		t.Fatalf("reclaimable = %d, want 256", got)
 	}
@@ -95,12 +97,12 @@ func TestPrefixSharedAccountedOnce(t *testing.T) {
 func TestPrefixLRUReclaim(t *testing.T) {
 	p := prefixPool(t, 256, 1, 64, -1)
 	a, b, c, d := hashes(1, 1), hashes(1, 2), hashes(1, 3), hashes(1, 4)
-	mustPrefixed(t, p, 1, 64, a, 0)
-	mustPrefixed(t, p, 2, 64, b, 0)
-	mustPrefixed(t, p, 3, 64, c, 0)
-	p.Free(1) // a oldest reclaimable
-	p.Free(2)
-	p.Free(3)
+	h1, _, _ := mustPrefixed(t, p, 1, 64, a, 0)
+	h2, _, _ := mustPrefixed(t, p, 2, 64, b, 0)
+	h3, _, _ := mustPrefixed(t, p, 3, 64, c, 0)
+	p.Free(h1, 1) // a oldest reclaimable
+	p.Free(h2, 2)
+	p.Free(h3, 3)
 
 	// A fourth prefix fits only by evicting; a (LRU) must go, b must stay.
 	mustPrefixed(t, p, 4, 128, d, 0)
@@ -125,15 +127,15 @@ func TestPrefixLRUReclaim(t *testing.T) {
 func TestPrefixOffloadRestore(t *testing.T) {
 	p := prefixPool(t, 256, 1, 64, -1)
 	a := hashes(2, 7)
-	mustPrefixed(t, p, 1, 128, a, 0)
-	p.Free(1)
-	mustPrefixed(t, p, 2, 256, hashes(4, 9), 0) // forces both blocks out
-	p.Free(2)
+	h, _, _ := mustPrefixed(t, p, 1, 128, a, 0)
+	p.Free(h, 1)
+	h, _, _ = mustPrefixed(t, p, 2, 256, hashes(4, 9), 0) // forces both blocks out
+	p.Free(h, 2)
 	if hb, ob := p.MatchPrefixDetail(a); hb != 0 || ob != 2 {
 		t.Fatalf("expected both blocks offloaded, hit=%d off=%d", hb, ob)
 	}
 
-	hit, restored := mustPrefixed(t, p, 3, 128, a, 2)
+	h3, hit, restored := mustPrefixed(t, p, 3, 128, a, 2)
 	if hit != 0 || restored != 128 {
 		t.Fatalf("hit=%d restored=%d, want 0/128", hit, restored)
 	}
@@ -146,10 +148,10 @@ func TestPrefixOffloadRestore(t *testing.T) {
 	}
 
 	// With restores forbidden, the same blocks are recomputed instead.
-	p.Free(3)
-	mustPrefixed(t, p, 4, 256, hashes(4, 11), 0)
-	p.Free(4)
-	hit, restored = mustPrefixed(t, p, 5, 128, a, 0)
+	p.Free(h3, 3)
+	h, _, _ = mustPrefixed(t, p, 4, 256, hashes(4, 11), 0)
+	p.Free(h, 4)
+	_, hit, restored = mustPrefixed(t, p, 5, 128, a, 0)
 	if hit != 0 || restored != 0 {
 		t.Fatalf("restoreBlocks=0 still reused: hit=%d restored=%d", hit, restored)
 	}
@@ -160,10 +162,10 @@ func TestPrefixOffloadRestore(t *testing.T) {
 func TestPrefixOffloadCapacity(t *testing.T) {
 	p := prefixPool(t, 128, 1, 64, 64) // host store holds exactly one block
 	a, b := hashes(1, 1), hashes(1, 2)
-	mustPrefixed(t, p, 1, 64, a, 0)
-	p.Free(1)
-	mustPrefixed(t, p, 2, 64, b, 0)
-	p.Free(2)
+	h, _, _ := mustPrefixed(t, p, 1, 64, a, 0)
+	p.Free(h, 1)
+	h, _, _ = mustPrefixed(t, p, 2, 64, b, 0)
+	p.Free(h, 2)
 	mustPrefixed(t, p, 3, 128, hashes(2, 3), 0) // evicts and spills both
 	if _, ob := p.MatchPrefixDetail(a); ob != 0 {
 		t.Fatal("capped store kept the older spill")
@@ -178,10 +180,10 @@ func TestPrefixOffloadCapacity(t *testing.T) {
 func TestPrefixDropOnCrash(t *testing.T) {
 	p := prefixPool(t, 256, 1, 64, -1)
 	a, b := hashes(1, 1), hashes(2, 2)
-	mustPrefixed(t, p, 1, 64, a, 0)
-	p.Free(1)
-	mustPrefixed(t, p, 2, 256, b, 0) // evicts a to offload
-	p.Free(2)
+	h, _, _ := mustPrefixed(t, p, 1, 64, a, 0)
+	p.Free(h, 1)
+	h, _, _ = mustPrefixed(t, p, 2, 256, b, 0) // evicts a to offload
+	p.Free(h, 2)
 
 	if got := p.DropPrefixCache(); got != 2 {
 		t.Fatalf("dropped %d blocks, want 2", got)
@@ -205,19 +207,19 @@ func TestPrefixDropOnCrash(t *testing.T) {
 func TestPrefixPartialChainHole(t *testing.T) {
 	p := prefixPool(t, 1024, 1, 64, 0)
 	hs := hashes(3, 5)
-	mustPrefixed(t, p, 1, 192, hs, 0)
+	h1, _, _ := mustPrefixed(t, p, 1, 192, hs, 0)
 	// Re-pin only blocks 0 and 2, then drop the middle from cache by
 	// filling memory while 0 and 2 are pinned.
-	hit, _ := mustPrefixed(t, p, 2, 192, hs, 0)
+	h2, hit, _ := mustPrefixed(t, p, 2, 192, hs, 0)
 	if hit != 192 {
 		t.Fatalf("warm hit = %d, want 192", hit)
 	}
-	p.Free(1)
-	p.Free(2)
+	p.Free(h1, 1)
+	p.Free(h2, 2)
 	// All three reclaimable now; a large cold request evicts the oldest.
-	mustPrefixed(t, p, 3, 1024-64-64, hashes(2, 6), 0)
-	p.Free(3)
-	hit, _ = mustPrefixed(t, p, 4, 192, hs, 0)
+	h3, _, _ := mustPrefixed(t, p, 3, 1024-64-64, hashes(2, 6), 0)
+	p.Free(h3, 3)
+	_, hit, _ = mustPrefixed(t, p, 4, 192, hs, 0)
 	if hit != 128 {
 		t.Fatalf("hole hit = %d, want 128 (two surviving blocks)", hit)
 	}
@@ -230,12 +232,12 @@ func TestPrefixPartialChainHole(t *testing.T) {
 // on a caching pool: cold cache yields to real demand.
 func TestPlainAllocateReclaimsCache(t *testing.T) {
 	p := prefixPool(t, 128, 1, 64, 0)
-	mustPrefixed(t, p, 1, 128, hashes(2, 1), 0)
-	p.Free(1)
+	h, _, _ := mustPrefixed(t, p, 1, 128, hashes(2, 1), 0)
+	p.Free(h, 1)
 	if !p.CanAllocate(128) {
 		t.Fatal("CanAllocate ignored reclaimable cache")
 	}
-	if !p.Allocate(2, 128) {
+	if p.Allocate(2, 128) == 0 {
 		t.Fatal("plain allocation failed against reclaimable cache")
 	}
 	if err := p.CheckInvariants(); err != nil {
@@ -251,7 +253,7 @@ func TestPlainAllocateReclaimsCache(t *testing.T) {
 func TestPrefixAllocateRejectsWhenPinned(t *testing.T) {
 	p := prefixPool(t, 128, 1, 64, 0)
 	mustPrefixed(t, p, 1, 128, hashes(2, 1), 0)
-	if _, _, ok := p.AllocatePrefixed(2, 64, hashes(1, 2), 0); ok {
+	if h, _, _ := p.AllocatePrefixed(2, 64, hashes(1, 2), 0); h != 0 {
 		t.Fatal("allocation succeeded with every block pinned")
 	}
 	if err := p.CheckInvariants(); err != nil {
@@ -268,10 +270,11 @@ func BenchmarkPrefixMatch(b *testing.B) {
 	hs := make([][]uint64, chains)
 	for i := range hs {
 		hs[i] = hashes(32, uint64(i+1)) // 2048-token prompts
-		if _, _, ok := p.AllocatePrefixed(int64(i), 32*64+17, hs[i], 0); !ok {
+		h, _, _ := p.AllocatePrefixed(int64(i), 32*64+17, hs[i], 0)
+		if h == 0 {
 			b.Fatal("warmup allocation failed")
 		}
-		p.Free(int64(i))
+		p.Free(h, int64(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -281,9 +284,10 @@ func BenchmarkPrefixMatch(b *testing.B) {
 			b.Fatalf("match = %d", got)
 		}
 		id := int64(1000 + i%chains)
-		if _, _, ok := p.AllocatePrefixed(id, 32*64+17, c, 0); !ok {
+		h, _, _ := p.AllocatePrefixed(id, 32*64+17, c, 0)
+		if h == 0 {
 			b.Fatal("allocate failed")
 		}
-		p.Free(id)
+		p.Free(h, id)
 	}
 }

@@ -97,6 +97,11 @@ type Request struct {
 	Generated  int // output tokens emitted so far (kept across evictions)
 	Evictions  int // times this request was evicted from the running batch
 	Admissions int // times this request was admitted (1 + re-admissions)
+	// KVHandle is the engine's handle on the request's KV-pool allocation
+	// (a kv.Handle kept as a plain integer, so this package depends on no
+	// simulator package). Engine-owned: set when the engine allocates,
+	// zeroed when it frees, and 0 whenever no pool holds the request.
+	KVHandle int32
 
 	// SLA bookkeeping.
 	FirstTokenAt float64 // timestamp of first output token; <0 until set
@@ -339,10 +344,15 @@ func (r *Request) RecordMigration(deliveredAt float64) {
 // with the fault, so prefill must rerun and the first token is no longer
 // visible. MaxGap resets with FirstTokenAt; the recovery wait lands in TTFT,
 // not in a phantom inter-token gap. Only a Pending request may retry — a
-// terminal outcome is final under the conservation invariant.
+// terminal outcome is final under the conservation invariant — and only
+// once its engine has freed it: a request still holding a KV handle would
+// carry that handle into another engine's pool.
 func (r *Request) ResetForRetry() {
 	if r.Outcome != OutcomePending {
 		panic(fmt.Sprintf("request %d: retry after terminal outcome %v", r.ID, r.Outcome))
+	}
+	if r.KVHandle != 0 {
+		panic(fmt.Sprintf("request %d: retry while holding KV handle %d", r.ID, r.KVHandle))
 	}
 	r.State = Waiting
 	r.Generated = 0

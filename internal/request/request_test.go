@@ -213,3 +213,28 @@ func mustPanic(t *testing.T, what string, f func()) {
 	}()
 	f()
 }
+
+// TestResetForRetryRequiresFreedHandle: a request still holding a KV
+// handle must not be rewound, or it would carry the handle into another
+// engine's pool; once the engine zeroes the handle the retry proceeds.
+func TestResetForRetryRequiresFreedHandle(t *testing.T) {
+	r := New(1, 100, 10, 50, 0)
+	r.KVHandle = 3
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "holding KV handle 3") {
+				t.Fatalf("ResetForRetry with a held handle: panic %q", msg)
+			}
+		}()
+		r.ResetForRetry()
+	}()
+	if r.Retries != 0 {
+		t.Fatal("refused retry still counted")
+	}
+	r.KVHandle = 0
+	r.ResetForRetry()
+	if r.Retries != 1 {
+		t.Fatalf("retries = %d after a clean reset", r.Retries)
+	}
+}

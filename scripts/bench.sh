@@ -11,8 +11,10 @@
 # BenchmarkWindowSampler, the fleet-scale BenchmarkFleetRoute series, the
 # cluster-front admission deadline heap, the MaxPrefillTokens trim, the
 # prefix-cache longest-match lookup (BenchmarkPrefixMatch, 0 allocs steady
-# state), and the SLO-aware chunk sizer (BenchmarkChunkSchedule, 0 allocs —
-# it runs inside every chunked iteration). The fleet suite runs the standard
+# state), the SLO-aware chunk sizer (BenchmarkChunkSchedule, 0 allocs —
+# it runs inside every chunked iteration), the warm 48-request decode step
+# (BenchmarkDecodeStep, 0 allocs) and the KV pool's allocate/free churn
+# (BenchmarkAllocateFree, 0 allocs). The fleet suite runs the standard
 # cmd/fleetsim scenario set (the scenario table in cmd/fleetsim/scenarios.go)
 # and exits non-zero unless every scenario reproduces its documented claim.
 set -eu
@@ -31,9 +33,9 @@ run_micro() {
 		-benchmem ./internal/dist/ | tee -a "$tmp"
 	go test -run '^$' -bench 'BenchmarkFleetRoute|BenchmarkClusterAdmit' \
 		-benchmem ./internal/cluster/ | tee -a "$tmp"
-	go test -run '^$' -bench 'BenchmarkPrefillTrim|BenchmarkChunkSchedule' \
+	go test -run '^$' -bench 'BenchmarkPrefillTrim|BenchmarkChunkSchedule|BenchmarkDecodeStep' \
 		-benchmem ./internal/engine/ | tee -a "$tmp"
-	go test -run '^$' -bench 'BenchmarkPrefixMatch' \
+	go test -run '^$' -bench 'BenchmarkPrefixMatch|BenchmarkAllocateFree' \
 		-benchmem ./internal/kv/ | tee -a "$tmp"
 
 	# Benchmark names carry a -GOMAXPROCS suffix when GOMAXPROCS != 1:
